@@ -42,10 +42,17 @@
 //!
 //! # Determinism
 //!
-//! The event loop is single-threaded and totally ordered: the heap is
-//! keyed by `(cycle, insertion sequence)`, so ties break by insertion
-//! order and a round's outcome is a pure function of
-//! ([`InterconnectSpec`], participants, background demand, seed). The
+//! The event loop is single-threaded and totally ordered: events pop
+//! by `(cycle, insertion sequence)`, so ties break by insertion order
+//! and a round's outcome is a pure function of
+//! ([`InterconnectSpec`], participants, background demand, seed).
+//! Every event is scheduled a delay after the current cycle, and the
+//! queue keeps one FIFO lane per distinct delay (serialization,
+//! propagation, ack latency, timeout, each background comb's period)
+//! plus a small heap over the lanes' heads. Because the clock never
+//! runs backwards, each lane is already sorted by `(cycle, sequence)`,
+//! so the queue pops exactly the order one heap over every pending
+//! event would — the lanes change the cost, never the outcome. The
 //! only randomness is the per-device phase of the background injection
 //! combs, drawn from a `SplitMix64` seeded by the caller — the fleet
 //! layer passes `split_seed(seed, 1 << 33)` (stream `1 << 33` is the
@@ -65,6 +72,7 @@
 
 pub mod allreduce;
 pub mod fabric;
+mod queue;
 pub mod report;
 pub mod sim;
 pub mod spec;

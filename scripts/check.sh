@@ -21,6 +21,11 @@ cargo build --workspace --release --features equinox-bench/paper-bench
 echo "==> tests"
 cargo test --workspace --quiet
 
+echo "==> benchmark package: clippy and tests (its own workspace, so the"
+echo "    --workspace steps above never build it)"
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+cargo test --manifest-path benchmark/Cargo.toml
+
 echo "==> equinox-check sweep: inference + training lowerings across the"
 echo "    paper family; exits non-zero on any error-severity diagnostic"
 echo "    (writes results/equinox_check.json)"
