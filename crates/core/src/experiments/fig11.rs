@@ -126,6 +126,7 @@ mod tests {
     #[test]
     fn adaptive_batching_effects() {
         let fig = run(ExperimentScale::Quick);
+        assert_eq!(fig.panel_a.len(), 2);
         let static_s = &fig.panel_a[0];
         let adaptive_s = &fig.panel_a[1];
         // (a) at low load static batching waits >10× the service time;

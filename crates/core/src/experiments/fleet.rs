@@ -360,37 +360,6 @@ pub fn run_scaled(scale: ExperimentScale) -> Vec<ScaledCell> {
         .collect()
 }
 
-/// One cycle-accurate reference run — the largest mixed fleet of the
-/// base grid at the moderate load and base horizon — returning its
-/// (devices, intervals) so the regen driver can put the wall-clock of
-/// "what the engine can afford" next to the scaled cells' timings in
-/// `bench_timings.json`.
-pub fn run_reference_cell(scale: ExperimentScale) -> (usize, u64) {
-    let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
-        .expect("the 500 µs design exists");
-    let timing = eq
-        .compile(&ModelSpec::lstm_2048_25())
-        .expect("reference workload compiles");
-    let size = *FLEET_SIZES.last().expect("sizes are non-empty");
-    let intervals = base_intervals(scale);
-    let deadline_s = DEADLINE_X * timing.service_time_s(eq.freq_hz());
-    let fleet = mixed_fleet(&eq, size);
-    let report = fleet
-        .run(&FleetRunOptions {
-            source: ArrivalSource::Poisson { load: MODERATE_LOAD },
-            policy: RoutingPolicy::training_aware_default(),
-            admission: AdmissionSpec::AdmitAll,
-            autoscale: None,
-            paid_fraction: 1.0,
-            horizon_cycles: intervals * timing.total_cycles,
-            seed: SWEEP_SEED,
-            slo: Some(SloSpec::new(deadline_s).expect("positive deadline")),
-        })
-        .expect("reference fleet run completes");
-    assert!(report.completed_requests() > 0);
-    (size, intervals)
-}
-
 impl FleetSweep {
     /// The cell for (`size`, `policy`, `load`), if present.
     pub fn cell(&self, size: usize, policy: &str, load: f64) -> Option<&FleetCell> {

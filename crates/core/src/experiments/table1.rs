@@ -24,6 +24,7 @@ mod tests {
     #[test]
     fn reproduces_headline_ratios() {
         let t = run();
+        assert_eq!(t.rows.len(), 4);
         let min = t.row(LatencyConstraint::MinLatency).unwrap().hbfp8.unwrap();
         let l500 = t.row(LatencyConstraint::Micros(500)).unwrap().hbfp8.unwrap();
         // The abstract's claim: ≈6.67× at 500 µs vs latency-optimal.

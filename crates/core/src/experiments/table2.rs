@@ -155,6 +155,7 @@ mod tests {
     #[test]
     fn sensitivity_shapes() {
         let t = run(ExperimentScale::Quick);
+        assert_eq!(t.rows.len(), 3);
         let lstm = t.row("LSTM").unwrap();
         let gru = t.row("GRU").unwrap();
         let resnet = t.row("Resnet50").unwrap();

@@ -20,6 +20,7 @@ mod tests {
     #[test]
     fn synthesis_claims_hold_for_selected_design() {
         let r = run();
+        assert!(r.total_area_mm2() > 200.0, "{}", r.total_area_mm2());
         let (ca, cp) = r.controller_overhead();
         assert!(ca < 0.01 && cp < 0.01, "controller {ca}/{cp}");
         let (ea, ep) = r.encoding_overhead();

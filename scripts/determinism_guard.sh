@@ -3,7 +3,7 @@
 #
 # The determinism contract (see tests/determinism.rs and the regen
 # driver's module docs) promises that every results/ artifact is
-# byte-identical at any EQUINOX_THREADS. The runtime smoke tests catch
+# byte-identical at any EQUINOX_THREADS. The determinism test catches
 # schedule-dependent output after the fact; this guard catches the two
 # usual ways it gets introduced at review time instead:
 #
@@ -24,10 +24,11 @@
 #                                      which is documented as exempt
 #                                      from the byte-identity contract
 #                                      (it measures this run).
-#   crates/bench/src                   The bench harness and regen
-#                                      driver's wall clocks feed
-#                                      results/bench_timings.json, the
-#                                      other documented exempt artifact.
+#   crates/bench/src                   The experiment registry's driver
+#                                      times each id; the readings feed
+#                                      only results/bench_timings.json,
+#                                      the other documented exempt
+#                                      artifact.
 #
 # Growing the allowlist requires the same justification: either the
 # container never iterates, or the output lands only in a *_timings

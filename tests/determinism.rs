@@ -1,23 +1,19 @@
 //! The parallel runtime's determinism contract: every serialized
 //! result is byte-identical at any thread count.
 //!
-//! Each probe renders a representative driver output to a `String` at
-//! `EQUINOX_THREADS`-equivalent 1 (forced serial) and 4 (work-stealing
-//! engaged) via [`equinox_par::set_thread_override`], and asserts the
-//! bytes match. The container running CI may only have one core —
-//! that's fine: with 4 workers on one core the OS interleaves them
-//! arbitrarily, which is exactly the schedule nondeterminism the
-//! contract must be immune to.
+//! The whole experiment table runs through the regen driver's own
+//! [`equinox_bench::run`] at `EQUINOX_THREADS`-equivalent 1 (forced
+//! serial) and 4 (work-stealing engaged) via
+//! [`equinox_par::set_thread_override`], and every entry's log,
+//! `results/` files and gate verdicts must match. The container running
+//! CI may only have one core — that's fine: with 4 workers on one core
+//! the OS interleaves them arbitrarily, which is exactly the schedule
+//! nondeterminism the contract must be immune to.
 
-use equinox_arith::Encoding;
-use equinox_core::experiments::{
-    allreduce, fig10, fig11, fig6, fig7, fig8, fig9, fitted, fleet, numerics, serve, table1,
-};
-use equinox_core::{Equinox, ExperimentScale};
-use equinox_isa::models::ModelSpec;
-use equinox_model::LatencyConstraint;
-use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
+use equinox_bench::{Outcome, EXPERIMENTS};
+use equinox_core::experiments::fitted;
+use equinox_core::ExperimentScale;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Thread-count overrides are process-global; probes must not overlap.
 fn override_guard() -> MutexGuard<'static, ()> {
@@ -25,9 +21,9 @@ fn override_guard() -> MutexGuard<'static, ()> {
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Renders `probe()` under a forced thread count, restoring the
-/// default afterwards even if the probe panics.
-fn rendered_with_threads(threads: usize, probe: impl Fn() -> String) -> String {
+/// Runs `probe()` under a forced thread count, restoring the default
+/// afterwards even if the probe panics.
+fn with_threads<T>(threads: usize, probe: impl FnOnce() -> T) -> T {
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -39,115 +35,106 @@ fn rendered_with_threads(threads: usize, probe: impl Fn() -> String) -> String {
     probe()
 }
 
-fn assert_identical_across_thread_counts(probe: impl Fn() -> String) {
-    let _g = override_guard();
-    let serial = rendered_with_threads(1, &probe);
-    let parallel = rendered_with_threads(4, &probe);
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "output differs between 1 and 4 threads");
+/// Every entry's `(1-thread, 4-thread)` outcomes at `Quick` scale,
+/// computed once per process and shared by the tests below. The compile
+/// cache is cleared between the passes so the second compiles cold too.
+fn table_passes() -> &'static [(Outcome, Outcome)] {
+    static PASSES: OnceLock<Vec<(Outcome, Outcome)>> = OnceLock::new();
+    PASSES.get_or_init(|| {
+        let _g = override_guard();
+        let all: Vec<_> = EXPERIMENTS.iter().collect();
+        let serial = with_threads(1, || equinox_bench::run(&all, ExperimentScale::Quick));
+        equinox_isa::cache::clear();
+        let parallel = with_threads(4, || equinox_bench::run(&all, ExperimentScale::Quick));
+        serial.into_iter().zip(parallel).collect()
+    })
+}
+
+/// Asserts one entry rendered the same log, files and gate verdicts in
+/// both passes.
+fn assert_invariant(serial: &Outcome, parallel: &Outcome) {
+    let id = serial.experiment.id;
+    let (s, p) = (&serial.artifacts, &parallel.artifacts);
+    assert!(!s.log.is_empty(), "{id}: empty log");
+    assert!(s.log == p.log, "{id}: log differs between 1 and 4 threads");
+    let names = |files: &[(String, String)]| -> Vec<String> {
+        files.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(&s.files), names(&p.files), "{id}: different results/ files");
+    for ((name, a), (_, b)) in s.files.iter().zip(&p.files) {
+        assert!(a == b, "{id}: results/{name} differs between 1 and 4 threads");
+    }
+    assert_eq!(s.gates, p.gates, "{id}: gate verdicts differ between 1 and 4 threads");
 }
 
 #[test]
-fn fig6_csvs_are_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| {
-        let fig = fig6::run();
-        format!("{}\n{}", fig.hbfp8_csv, fig.bf16_csv)
-    });
+fn experiment_table_is_thread_count_invariant() {
+    let mut written = Vec::new();
+    for (serial, parallel) in table_passes() {
+        assert_invariant(serial, parallel);
+        written.extend(serial.artifacts.files.iter().map(|(name, _)| name.clone()));
+    }
+    // The table writes every committed artifact except the two timing
+    // files and the analyzer sweep's report (`equinox-check`'s own).
+    let exempt = ["bench_timings.json", "check_timings.json", "equinox_check.json"];
+    let mut committed: Vec<String> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"))
+        .expect("results/ is committed")
+        .map(|entry| entry.expect("readable entry").file_name().into_string().expect("UTF-8 name"))
+        .filter(|name| !exempt.contains(&name.as_str()))
+        .collect();
+    committed.sort();
+    written.sort();
+    assert_eq!(written, committed, "the table's files differ from the committed results/");
 }
 
-#[test]
-fn table1_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| table1::run().to_string());
+/// Asserts the entry that writes `results/<name>` is thread-count
+/// invariant. Reads the shared passes; runs nothing.
+fn assert_artifact_invariant(name: &str) {
+    let (serial, parallel) = table_passes()
+        .iter()
+        .find(|(s, _)| s.artifacts.files.iter().any(|(n, _)| n == name))
+        .unwrap_or_else(|| panic!("no experiment writes results/{name}"));
+    assert_invariant(serial, parallel);
 }
 
-#[test]
-fn fig7_quick_series_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| {
-        fig7::run(Encoding::Hbfp8, ExperimentScale::Quick).to_string()
-    });
+/// One probe per committed artifact, so a divergence also reports under
+/// the artifact's own test name.
+macro_rules! artifact_probes {
+    ($($test:ident => $file:literal,)*) => {$(
+        #[test]
+        fn $test() {
+            assert_artifact_invariant($file);
+        }
+    )*};
 }
 
-#[test]
-fn fig8_quick_breakdown_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig8::run(ExperimentScale::Quick).to_string());
-}
-
-#[test]
-fn fig9_quick_series_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig9::run(ExperimentScale::Quick).to_string());
-}
-
-#[test]
-fn fig10_quick_series_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig10::run(ExperimentScale::Quick).to_string());
-}
-
-#[test]
-fn fig11_quick_panels_are_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig11::run(ExperimentScale::Quick).to_string());
-}
-
-#[test]
-fn fleet_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/fleet_sweep.json`: the serialized sweep —
-    // routing decisions, per-device simulations, merged fleet tails —
-    // must not depend on how the per-device runs were scheduled.
-    assert_identical_across_thread_counts(|| fleet::run(ExperimentScale::Quick).to_json());
-}
-
-#[test]
-fn allreduce_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/allreduce_sweep.json`: the frontier's
-    // cells fan out across threads, and inside each cell the packet
-    // engine is a single-threaded event heap seeded from the run's
-    // master seed — so the serialized frontier (round cycles, link
-    // utilizations, synced-epoch arithmetic) must not depend on
-    // scheduling.
-    assert_identical_across_thread_counts(|| allreduce::run(ExperimentScale::Quick).to_json());
-}
-
-#[test]
-fn serve_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/serve_sweep.json`: admission decisions
-    // and autoscale transitions happen in the serial routing pass, and
-    // the per-device evaluations merge by index — so the serialized
-    // sweep must not depend on scheduling.
-    assert_identical_across_thread_counts(|| serve::run(ExperimentScale::Quick).to_json());
+artifact_probes! {
+    fig6_csvs_are_thread_count_invariant => "fig6a_hbfp8.csv",
+    table1_is_thread_count_invariant => "table1_pareto.txt",
+    fig7_quick_series_is_thread_count_invariant => "fig7a_hbfp8.csv",
+    fig8_quick_breakdown_is_thread_count_invariant => "fig8_breakdown.csv",
+    fig9_quick_series_is_thread_count_invariant => "fig9_training.csv",
+    fig10_quick_series_is_thread_count_invariant => "fig10_scheduling.csv",
+    fig11_quick_panels_are_thread_count_invariant => "fig11_batching.csv",
+    fleet_sweep_json_is_thread_count_invariant => "fleet_sweep.json",
+    allreduce_sweep_json_is_thread_count_invariant => "allreduce_sweep.json",
+    serve_sweep_json_is_thread_count_invariant => "serve_sweep.json",
+    numerics_sweep_json_is_thread_count_invariant => "numerics_sweep.json",
+    check_report_is_thread_count_invariant => "driver_checks.json",
 }
 
 #[test]
 fn fitted_tables_json_is_thread_count_invariant() {
-    // The golden for `results/fitted_tables.json`: the (model, load,
-    // seed) sampling grid fans out across threads but pools samples by
-    // grid index, so the fitted quantile tables and their held-out
-    // calibration must not depend on scheduling. Calls `fitted::run`
-    // directly (not the process-shared `FittedCalibration::shared`)
-    // so both renderings genuinely refit. The scaled fleet/serve cells
-    // built on these tables are covered by the fleet/serve probes.
-    assert_identical_across_thread_counts(|| fitted::run(ExperimentScale::Quick).to_json());
-}
-
-#[test]
-fn numerics_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/numerics_sweep.json`: the per-cell
-    // lowerings and chain probes fan out across threads but merge by
-    // grid index, and every probe seed derives from the chain shape —
-    // so the serialized sweep must not depend on scheduling.
-    assert_identical_across_thread_counts(|| numerics::run(ExperimentScale::Quick).to_json());
-}
-
-#[test]
-fn check_report_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| {
-        let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
-            .expect("paper design exists");
-        let mut out = String::new();
-        for model in [ModelSpec::lstm_2048_25(), ModelSpec::mlp_2048x5()] {
-            let report = eq.check(&model, eq.dims().n);
-            let _ = writeln!(out, "{}", report.to_json());
-        }
-        out
-    });
+    // The table's `fitted` entry reads the process-wide
+    // `FittedCalibration::shared`, so its 4-thread pass reuses the
+    // 1-thread fit. Calling `fitted::run` directly makes both renderings
+    // genuinely refit: the (model, load, seed) sampling grid fans out
+    // across threads but pools samples by grid index, so the tables and
+    // their held-out calibration must not depend on scheduling.
+    let _g = override_guard();
+    let serial = with_threads(1, || fitted::run(ExperimentScale::Quick).to_json());
+    let parallel = with_threads(4, || fitted::run(ExperimentScale::Quick).to_json());
+    assert!(serial == parallel, "fitted tables differ between 1 and 4 threads");
 }
 
 #[test]
@@ -162,7 +149,7 @@ fn gemm_kernels_are_thread_count_invariant() {
         let h = gemm_bf16(&a, &b);
         format!("{:?}{:?}", f.as_slice(), h.as_slice())
     };
-    let serial = rendered_with_threads(1, probe);
-    let parallel = rendered_with_threads(4, probe);
+    let serial = with_threads(1, probe);
+    let parallel = with_threads(4, probe);
     assert_eq!(serial, parallel);
 }
