@@ -10,18 +10,46 @@
 //!
 //! The kernels are bit-faithful models of the datapath, not fast BLAS;
 //! they are used by the trainer for the Figure 2 convergence study.
+//! They are written so that the compiler can vectorize them without
+//! changing a bit of any output:
+//!
+//! * **fp32.** Every output is one sum over k in order from zero,
+//!   `((0 + a₀b₀) + a₁b₁) + …`. The kernel reads `b` row by row and
+//!   gives each of eight adjacent outputs its own accumulator, so vector
+//!   lanes run across outputs; no sum is split or reordered along k, and
+//!   Rust never fuses `acc + x·y` into one rounding. Each output therefore
+//!   sees the same sequence of f32 roundings as the textbook loop.
+//! * **bf16.** A bf16 MAC ([`Bf16::fma_into_f32`]) is `acc + a·b` in
+//!   fp32, so the bf16 GEMM is the fp32 kernel run on operands rounded
+//!   to bf16.
+//! * **hbfp8.** A block dot sums its 8-bit products in a plain `i32`.
+//!   Each product is at most 2^14 in magnitude, so no partial sum of
+//!   `Accumulator25::safe_chain_depth(128, 128)` = 1023 products or fewer
+//!   can reach a 25-bit rail: the modeled accumulator would never
+//!   saturate, and its value is the exact integer sum, which the `i32`
+//!   computes in any order. Longer blocks keep the saturating
+//!   [`Accumulator25`] loop, the only correct model there. The block
+//!   scale `2^(ea+eb)` is built from its exponent bits, which equals
+//!   `exp2` bit for bit.
+//!
 //! Large multiplications run row-tiled across the `equinox-par`
 //! work-stealing pool: each output row is computed by exactly the same
 //! scalar loop as the serial path (accumulation order within a row is
 //! untouched), so results are bitwise identical at any thread count.
 
 use crate::bf16::Bf16;
-use crate::hbfp::{BlockAxis, HbfpMatrix, HbfpSpec};
+use crate::convert::matrix_to_bf16;
+use crate::fixed::{Accumulator25, Q8};
+use crate::hbfp::{pow2, BlockAxis, HbfpMatrix, HbfpSpec};
 use crate::matrix::Matrix;
 
 /// Below this many MACs a GEMM is not worth fanning out: thread startup
 /// would dominate the arithmetic.
 const PARALLEL_MIN_MACS: u64 = 1 << 16;
+
+/// Adjacent outputs the fp32 kernel accumulates at once, one
+/// accumulator each.
+const LANES: usize = 8;
 
 /// Computes an `m×n` output by filling each row with `fill(i, row)`,
 /// row-tiled over the parallel pool when the work is large enough.
@@ -97,19 +125,30 @@ fn check_shapes(a: &Matrix, b: &Matrix) {
 pub fn gemm_f32(a: &Matrix, b: &Matrix) -> Matrix {
     check_shapes(a, b);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    // Transposing b gives contiguous access along the reduction.
-    let bt = b.transpose();
     fill_rows_tiled(m, n, gemm_macs(m, k, n), |i, row| {
         let arow = a.row(i);
-        for (j, out) in row.iter_mut().enumerate() {
-            let bcol = bt.row(j);
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += arow[kk] * bcol[kk];
-            }
-            *out = acc;
+        let mut groups = row.chunks_exact_mut(LANES);
+        for (g, out) in groups.by_ref().enumerate() {
+            out.copy_from_slice(&column_sums::<LANES>(arow, b, g * LANES));
+        }
+        let tail = n - n % LANES;
+        for (j, out) in groups.into_remainder().iter_mut().enumerate() {
+            *out = column_sums::<1>(arow, b, tail + j)[0];
         }
     })
+}
+
+/// The `W` adjacent outputs `Σ_k arow[k] · b[k][j0 + l]`, each summed
+/// in k order from zero in its own accumulator.
+fn column_sums<const W: usize>(arow: &[f32], b: &Matrix, j0: usize) -> [f32; W] {
+    let mut acc = [0.0f32; W];
+    for (&x, brow) in arow.iter().zip(b.as_slice().chunks_exact(b.cols())) {
+        let brow: &[f32; W] = brow[j0..j0 + W].try_into().expect("a slice of W values");
+        for (acc, &y) in acc.iter_mut().zip(brow) {
+            *acc += x * y;
+        }
+    }
+    acc
 }
 
 /// bfloat16 GEMM with fp32 accumulation.
@@ -118,29 +157,13 @@ pub fn gemm_f32(a: &Matrix, b: &Matrix) -> Matrix {
 /// would be when stored in the bfloat16 datapath's buffers); each product
 /// is exact in fp32 and accumulation happens at full fp32 precision
 /// (the paper's bfloat16 variant uses single-precision accumulators).
+/// That is [`gemm_f32`] over the rounded operands.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn gemm_bf16(a: &Matrix, b: &Matrix) -> Matrix {
-    check_shapes(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let qa: Vec<Bf16> = a.as_slice().iter().map(|&v| Bf16::from_f32(v)).collect();
-    let qbt: Vec<Bf16> = b
-        .transpose()
-        .as_slice()
-        .iter()
-        .map(|&v| Bf16::from_f32(v))
-        .collect();
-    fill_rows_tiled(m, n, gemm_macs(m, k, n), |i, row| {
-        for (j, out) in row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = qa[i * k + kk].fma_into_f32(qbt[j * k + kk], acc);
-            }
-            *out = acc;
-        }
-    })
+    gemm_f32(&matrix_to_bf16(a), &matrix_to_bf16(b))
 }
 
 /// hbfp8 GEMM.
@@ -164,13 +187,16 @@ pub fn gemm_hbfp(a: &Matrix, b: &Matrix, config: &HbfpGemmConfig) -> Matrix {
 
 /// hbfp8 GEMM over operands that are already quantized.
 ///
-/// Useful when one operand (weights) is reused across many GEMMs, as in
-/// the trainer's forward passes.
+/// [`gemm_hbfp`] quantizes both operands on every call and then runs
+/// this. Nothing outside this crate calls it: the trainer's backends
+/// take dense matrices, so weights are quantized again for every
+/// product.
 ///
 /// # Panics
 ///
-/// Panics if the shapes mismatch or the blocking axes are not
-/// row-for-`a` / column-for-`b`.
+/// Panics if the shapes mismatch, the blocking axes are not
+/// row-for-`a` / column-for-`b`, or the operands' blocks along k differ
+/// in length.
 pub fn gemm_hbfp_prequantized(
     a: &HbfpMatrix,
     b: &HbfpMatrix,
@@ -187,17 +213,24 @@ pub fn gemm_hbfp_prequantized(
         b.rows(),
         b.cols()
     );
-    let (m, n) = (a.rows(), b.cols());
-    fill_rows_tiled(m, n, gemm_macs(m, a.cols(), n), |i, row| {
-        let a_blocks = a.lane_blocks(i);
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let block = a.spec().block_size.min(k).max(1);
+    assert_eq!(
+        block,
+        b.spec().block_size.min(k).max(1),
+        "block length mismatch between operands"
+    );
+    let exact = block as u64 <= Accumulator25::safe_chain_depth(128, 128);
+    fill_rows_tiled(m, n, gemm_macs(m, k, n), |i, row| {
+        let (qa, exps_a) = a.lane(i);
         for (j, out) in row.iter_mut().enumerate() {
-            let b_blocks = b.lane_blocks(j);
-            debug_assert_eq!(a_blocks.len(), b_blocks.len());
+            let (qb, exps_b) = b.lane(j);
             // fp32 across-block accumulation (the "x instructions that add
             // intermediate output tiles").
             let mut acc = 0.0f32;
-            for (ab, bb) in a_blocks.iter().zip(b_blocks) {
-                acc += ab.dot(bb);
+            let pairs = qa.chunks(block).zip(qb.chunks(block));
+            for ((xa, xb), (&ea, &eb)) in pairs.zip(exps_a.iter().zip(exps_b)) {
+                acc += block_dot(xa, xb, exact) as f32 * pow2(ea + eb);
             }
             *out = if config.round_output_to_bf16 {
                 Bf16::from_f32(acc).to_f32()
@@ -206,6 +239,20 @@ pub fn gemm_hbfp_prequantized(
             };
         }
     })
+}
+
+/// The 25-bit accumulator's value after one block's MACs: a plain
+/// integer sum when `exact` (the block is too short to saturate, see the
+/// module docs), the saturating [`Accumulator25`] otherwise.
+fn block_dot(xa: &[Q8], xb: &[Q8], exact: bool) -> i32 {
+    let pairs = xa.iter().zip(xb);
+    if exact {
+        pairs.map(|(x, y)| i32::from(x.widening_mul(*y))).sum()
+    } else {
+        let mut acc = Accumulator25::new();
+        pairs.for_each(|(&x, &y)| acc.mac(x, y));
+        acc.value()
+    }
 }
 
 /// Counts the multiply-accumulate operations of a GEMM, the unit used for
@@ -218,6 +265,7 @@ pub fn gemm_macs(m: usize, k: usize, n: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::check;
+    use crate::hbfp::{HbfpBlock, NumericEvents};
     use crate::metrics::relative_frobenius_error;
 
     fn test_matrices(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
@@ -232,6 +280,89 @@ mod tests {
         let a = Matrix::from_fn(m, k, |_, _| next());
         let b = Matrix::from_fn(k, n, |_, _| next());
         (a, b)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// hbfp8 GEMM as the datapath defines it: every block pair quantized
+    /// to [`HbfpBlock`]s and reduced by their own dot, the block results
+    /// summed in fp32, the sum rounded to bf16 when configured.
+    fn reference_hbfp(
+        a: &Matrix,
+        b: &Matrix,
+        cfg: &HbfpGemmConfig,
+        events: &mut NumericEvents,
+    ) -> Matrix {
+        let bs = cfg.spec.block_size;
+        let bt = b.transpose();
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            let mut acc = 0.0f32;
+            for (xa, xb) in a.row(i).chunks(bs).zip(bt.row(j).chunks(bs)) {
+                let qa = HbfpBlock::quantize(xa, &cfg.spec);
+                let qb = HbfpBlock::quantize(xb, &cfg.spec);
+                acc += qa.dot_with_events(&qb, events);
+            }
+            if cfg.round_output_to_bf16 {
+                Bf16::from_f32(acc).to_f32()
+            } else {
+                acc
+            }
+        })
+    }
+
+    #[test]
+    fn hbfp_matches_block_reference() {
+        check::for_each_case(64, 0x6e7703, |g| {
+            let block = [1, 16, 64, 1500][g.usize_in(0, 4)];
+            let cfg = HbfpGemmConfig {
+                spec: HbfpSpec::hbfp8_with_block(block),
+                round_output_to_bf16: g.next_bool(),
+            };
+            let (m, n) = (g.usize_in(1, 5), g.usize_in(1, 12));
+            let (a, b) = if block > 1023 {
+                // Worst-case mantissas: every value quantizes to ±127,
+                // `a` is 95% positive and each column of `b` has one
+                // sign, so a chain of 1300 or more drifts past a 25-bit
+                // rail, clamps, and keeps accumulating from the rail.
+                let rail = |negative: bool| if negative { -127.0 } else { 127.0 };
+                let k = g.usize_in(1300, 2001);
+                let a = Matrix::from_fn(m, k, |_, _| rail(g.usize_in(0, 20) == 0));
+                let signs: Vec<f32> = (0..n).map(|_| rail(g.next_bool())).collect();
+                (a, Matrix::from_fn(k, n, |_, j| signs[j]))
+            } else {
+                let k = g.usize_in(0, 71);
+                let mut value = || g.f32_in(-1.0, 1.0) * 2.0f32.powi(g.usize_in(0, 16) as i32 - 8);
+                let a = Matrix::from_fn(m, k, |_, _| value());
+                let b = Matrix::from_fn(k, n, |_, _| value());
+                (a, b)
+            };
+            let mut events = NumericEvents::default();
+            let expected = reference_hbfp(&a, &b, &cfg, &mut events);
+            let got = gemm_hbfp(&a, &b, &cfg);
+            assert_eq!(bits(&got), bits(&expected), "block {block}, k {}", a.cols());
+            if block > 1023 {
+                assert!(events.accumulator_saturations > 0, "the long chains must saturate");
+            }
+        });
+    }
+
+    #[test]
+    fn f32_matches_sequential_loop() {
+        for n in [1, 7, 8, 9, 17] {
+            for k in [0, 1, 6, 40] {
+                let (a, b) = test_matrices(3, k, n, (100 * n + k) as u64);
+                let naive = Matrix::from_fn(3, n, |i, j| {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k {
+                        acc += a.get(i, kk) * b.get(kk, j);
+                    }
+                    acc
+                });
+                assert_eq!(bits(&gemm_f32(&a, &b)), bits(&naive), "k {k}, n {n}");
+            }
+        }
     }
 
     #[test]

@@ -107,6 +107,55 @@ impl NumericEvents {
     }
 }
 
+/// `2^e` as an `f32`, bit for bit what `(e as f32).exp2()` returns.
+///
+/// On the normal range the value is built from its exponent field; the
+/// subnormal and overflow ends fall back to `exp2`. The block dot scales
+/// every block pair by one of these, and the libm call costs more than
+/// the 16 MACs it scales.
+pub(crate) fn pow2(e: i32) -> f32 {
+    if (-126..=127).contains(&e) {
+        f32::from_bits(((e + 127) as u32) << 23)
+    } else {
+        (e as f32).exp2()
+    }
+}
+
+/// Quantizes one block of `values` into `mantissas` (same length) and
+/// returns the shared exponent: the smallest power of two that fits the
+/// largest magnitude into the mantissa range, with round-to-nearest and
+/// saturation at the mantissa bounds. An all-zero (or empty) block maps
+/// to the minimum exponent. Counts flushed values and clamped exponents
+/// into `events`. [`HbfpBlock`] and [`HbfpMatrix`] both quantize here.
+fn quantize_into(
+    values: &[f32],
+    spec: &HbfpSpec,
+    mantissas: &mut [Q8],
+    events: &mut NumericEvents,
+) -> i32 {
+    debug_assert_eq!(values.len(), mantissas.len());
+    let (exp_min, exp_max) = spec.exponent_range();
+    let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let exponent = if max_abs == 0.0 || !max_abs.is_finite() {
+        exp_min
+    } else {
+        // Smallest e with max_abs / 2^e <= mantissa_max.
+        let needed = (max_abs / spec.mantissa_max() as f32).log2().ceil() as i32;
+        if needed > exp_max {
+            events.exponent_clamps += 1;
+        }
+        needed.clamp(exp_min, exp_max)
+    };
+    let scale = pow2(exponent);
+    for (m, &v) in mantissas.iter_mut().zip(values) {
+        *m = Q8::saturating_from_scaled(v / scale);
+        if v != 0.0 && v.is_finite() && *m == Q8(0) {
+            events.underflows_to_zero += 1;
+        }
+    }
+    exponent
+}
+
 /// One HBFP block: `block_size` 8-bit mantissas sharing one exponent.
 ///
 /// A value `i` denotes `mantissa[i] · 2^exponent`.
@@ -150,28 +199,8 @@ impl HbfpBlock {
             values.len(),
             spec.block_size
         );
-        let (exp_min, exp_max) = spec.exponent_range();
-        let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let exponent = if max_abs == 0.0 || !max_abs.is_finite() {
-            exp_min
-        } else {
-            // Smallest e with max_abs / 2^e <= mantissa_max.
-            let needed = (max_abs / spec.mantissa_max() as f32).log2().ceil() as i32;
-            if needed > exp_max {
-                events.exponent_clamps += 1;
-            }
-            needed.clamp(exp_min, exp_max)
-        };
-        let scale = (exponent as f32).exp2();
-        let mantissas: Vec<Q8> = values
-            .iter()
-            .map(|&v| Q8::saturating_from_scaled(v / scale))
-            .collect();
-        events.underflows_to_zero += values
-            .iter()
-            .zip(&mantissas)
-            .filter(|&(&v, &m)| v != 0.0 && v.is_finite() && m == Q8(0))
-            .count() as u64;
+        let mut mantissas = vec![Q8(0); values.len()];
+        let exponent = quantize_into(values, spec, &mut mantissas, events);
         HbfpBlock { mantissas, exponent }
     }
 
@@ -246,16 +275,21 @@ pub enum BlockAxis {
 
 /// A matrix stored in HBFP blocks.
 ///
-/// Logically `rows × cols` of `f32`; physically, each row (or column,
-/// per [`BlockAxis`]) is a sequence of [`HbfpBlock`]s.
+/// Logically `rows × cols` of `f32`. Each *lane*, a row or a column per
+/// [`BlockAxis`], is cut into blocks of `spec.block_size` values, the
+/// last one possibly shorter; a block holds exactly what
+/// [`HbfpBlock::quantize`] makes of that chunk. Storage is flat and
+/// lane-major: every mantissa of lane 0, then of lane 1, and so on, and
+/// beside them one exponent per block in the same order.
+/// [`HbfpMatrix::lane`] returns one lane's share of each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HbfpMatrix {
     rows: usize,
     cols: usize,
     axis: BlockAxis,
     spec: HbfpSpec,
-    /// `lanes × blocks_per_lane` blocks, lane = row or column per `axis`.
-    blocks: Vec<Vec<HbfpBlock>>,
+    mantissas: Vec<Q8>,
+    exponents: Vec<i32>,
 }
 
 impl HbfpMatrix {
@@ -273,26 +307,34 @@ impl HbfpMatrix {
         spec: HbfpSpec,
         events: &mut NumericEvents,
     ) -> Self {
-        let (lanes, lane_len) = match axis {
-            BlockAxis::Row => (m.rows(), m.cols()),
-            BlockAxis::Col => (m.cols(), m.rows()),
+        let mut q = HbfpMatrix {
+            rows: m.rows(),
+            cols: m.cols(),
+            axis,
+            spec,
+            mantissas: vec![Q8(0); m.len()],
+            exponents: Vec::new(),
         };
-        let mut blocks = Vec::with_capacity(lanes);
-        let mut lane_buf = vec![0.0f32; lane_len];
-        for lane in 0..lanes {
-            for (i, item) in lane_buf.iter_mut().enumerate() {
-                *item = match axis {
-                    BlockAxis::Row => m.get(lane, i),
-                    BlockAxis::Col => m.get(i, lane),
-                };
-            }
-            let lane_blocks = lane_buf
+        let (lanes, lane_len) = q.lane_shape();
+        q.exponents.reserve_exact(lanes * lane_len.div_ceil(spec.block_size));
+        let mut col_buf = Vec::new();
+        for (lane, lane_mantissas) in q.mantissas.chunks_exact_mut(lane_len.max(1)).enumerate() {
+            let values = match axis {
+                BlockAxis::Row => m.row(lane),
+                BlockAxis::Col => {
+                    col_buf.clear();
+                    col_buf.extend(m.as_slice().iter().skip(lane).step_by(m.cols()));
+                    &col_buf[..]
+                }
+            };
+            for (chunk, out) in values
                 .chunks(spec.block_size)
-                .map(|chunk| HbfpBlock::quantize_with_events(chunk, &spec, events))
-                .collect();
-            blocks.push(lane_blocks);
+                .zip(lane_mantissas.chunks_mut(spec.block_size))
+            {
+                q.exponents.push(quantize_into(chunk, &spec, out, events));
+            }
         }
-        HbfpMatrix { rows: m.rows(), cols: m.cols(), axis, spec, blocks }
+        q
     }
 
     /// Logical number of rows.
@@ -315,27 +357,47 @@ impl HbfpMatrix {
         &self.spec
     }
 
-    /// The blocks of one lane (row or column, per the blocking axis).
+    /// `(lanes, values per lane)`: rows and their length when blocked
+    /// along rows, columns and their length when blocked along columns.
+    fn lane_shape(&self) -> (usize, usize) {
+        match self.axis {
+            BlockAxis::Row => (self.rows, self.cols),
+            BlockAxis::Col => (self.cols, self.rows),
+        }
+    }
+
+    /// One lane (row or column, per the blocking axis): its mantissas in
+    /// order, and the shared exponent of each of its blocks. Block `b`
+    /// covers mantissas `b · block_size ..` up to the next block or the
+    /// lane's end.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of bounds.
-    pub fn lane_blocks(&self, lane: usize) -> &[HbfpBlock] {
-        &self.blocks[lane]
+    pub fn lane(&self, lane: usize) -> (&[Q8], &[i32]) {
+        let (lanes, len) = self.lane_shape();
+        assert!(lane < lanes, "lane {lane} out of bounds for {lanes} lanes");
+        let blocks = len.div_ceil(self.spec.block_size);
+        (
+            &self.mantissas[lane * len..(lane + 1) * len],
+            &self.exponents[lane * blocks..(lane + 1) * blocks],
+        )
     }
 
     /// Dequantizes back into a dense matrix.
     pub fn dequantize(&self) -> crate::Matrix {
+        let bs = self.spec.block_size;
         let mut m = crate::Matrix::zeros(self.rows, self.cols);
-        for (lane, lane_blocks) in self.blocks.iter().enumerate() {
-            let mut idx = 0usize;
-            for block in lane_blocks {
-                for v in block.dequantize() {
+        for lane in 0..self.lane_shape().0 {
+            let (mantissas, exponents) = self.lane(lane);
+            for (b, (block, &e)) in mantissas.chunks(bs).zip(exponents).enumerate() {
+                let scale = pow2(e);
+                for (j, q) in block.iter().enumerate() {
+                    let v = q.0 as f32 * scale;
                     match self.axis {
-                        BlockAxis::Row => m.set(lane, idx, v),
-                        BlockAxis::Col => m.set(idx, lane, v),
+                        BlockAxis::Row => m.set(lane, b * bs + j, v),
+                        BlockAxis::Col => m.set(b * bs + j, lane, v),
                     }
-                    idx += 1;
                 }
             }
         }
@@ -344,11 +406,8 @@ impl HbfpMatrix {
 
     /// Total storage in bits, including shared exponents.
     pub fn storage_bits(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|lane| lane.iter())
-            .map(|b| b.len() * self.spec.mantissa_bits as usize + self.spec.exponent_bits as usize)
-            .sum()
+        self.mantissas.len() * self.spec.mantissa_bits as usize
+            + self.exponents.len() * self.spec.exponent_bits as usize
     }
 }
 
@@ -371,6 +430,15 @@ mod tests {
     #[should_panic(expected = "block size must be positive")]
     fn zero_block_size_panics() {
         HbfpSpec::hbfp8_with_block(0);
+    }
+
+    #[test]
+    fn pow2_matches_exp2_over_the_exponent_sum_range() {
+        // Two hbfp8 exponents sum to [-4096, 4094]; every value there,
+        // subnormal and overflowing ends included, must match.
+        for e in -4096..=4094 {
+            assert_eq!(pow2(e).to_bits(), (e as f32).exp2().to_bits(), "2^{e}");
+        }
     }
 
     #[test]

@@ -140,21 +140,23 @@ impl LstmLm {
         }
     }
 
-    /// One forward pass over a batch of equal-length sequences.
-    /// Returns the per-step caches and the per-step logits.
+    /// One forward pass over a batch of equal-length sequences, handing
+    /// each step's cache and logits to `visit` in time order. Every
+    /// backend works row by row (GEMM rows, row-blocked write-back), so
+    /// each row depends on its own sequence alone and gets the bits a
+    /// batch of one would.
     fn forward(
         &self,
         backend: &dyn Backend,
         batch: &[&[usize]],
-    ) -> (Vec<StepCache>, Vec<Matrix>) {
+        mut visit: impl FnMut(StepCache, Matrix),
+    ) {
         let b = batch.len();
         let t_len = batch[0].len();
         let w_gates = backend.store_weights(&self.w_gates);
         let w_out = backend.store_weights(&self.w_out);
         let mut h = Matrix::zeros(b, self.hidden);
         let mut c = Matrix::zeros(b, self.hidden);
-        let mut caches = Vec::with_capacity(t_len - 1);
-        let mut logits = Vec::with_capacity(t_len - 1);
         for t in 0..t_len - 1 {
             let mut x = Matrix::zeros(b, self.vocab);
             for (r, seq) in batch.iter().enumerate() {
@@ -175,7 +177,7 @@ impl LstmLm {
             h = backend.writeback(&o.zip_map(&tanh_c, |ov, tv| ov * tv));
             let mut step_logits = backend.gemm(&h, &w_out);
             add_bias(&mut step_logits, &self.b_out);
-            caches.push(StepCache {
+            let cache = StepCache {
                 x_h,
                 i,
                 f,
@@ -184,10 +186,9 @@ impl LstmLm {
                 c_prev,
                 tanh_c,
                 h: h.clone(),
-            });
-            logits.push(step_logits);
+            };
+            visit(cache, step_logits);
         }
-        (caches, logits)
     }
 
     /// One BPTT training step over a batch of sequences. Returns the
@@ -201,7 +202,12 @@ impl LstmLm {
             "sequences must share a length"
         );
         let b = batch.len();
-        let (caches, logits) = self.forward(backend, batch);
+        let mut caches = Vec::with_capacity(t_len - 1);
+        let mut logits = Vec::with_capacity(t_len - 1);
+        self.forward(backend, batch, |cache, step_logits| {
+            caches.push(cache);
+            logits.push(step_logits);
+        });
         let w_gates_q = backend.store_weights(&self.w_gates);
         let w_out_q = backend.store_weights(&self.w_out);
         let mut dw_gates = Matrix::zeros(self.vocab + self.hidden, 4 * self.hidden);
@@ -262,15 +268,25 @@ impl LstmLm {
     }
 
     /// Mean next-token perplexity over validation sequences.
+    ///
+    /// Each run of consecutive equal-length sequences goes through one
+    /// batched forward pass. The per-token losses are then summed
+    /// sequence by sequence, step by step, each computed as
+    /// [`loss::cross_entropy`] of its own logits row, so the result is
+    /// bit for bit that of one forward pass per sequence.
     pub fn validation_perplexity(&self, backend: &dyn Backend, seqs: &[Vec<usize>]) -> f32 {
         let mut total = 0.0f64;
         let mut count = 0usize;
-        for seq in seqs {
-            let batch = [seq.as_slice()];
-            let (_, logits) = self.forward(backend, &batch);
-            for (t, l) in logits.iter().enumerate() {
-                total += loss::cross_entropy(l, &[seq[t + 1]]) as f64;
-                count += 1;
+        for run in seqs.chunk_by(|a, b| a.len() == b.len()) {
+            let batch: Vec<&[usize]> = run.iter().map(Vec::as_slice).collect();
+            let mut logits = Vec::new();
+            self.forward(backend, &batch, |_, step_logits| logits.push(step_logits));
+            for (r, seq) in run.iter().enumerate() {
+                for (t, l) in logits.iter().enumerate() {
+                    let row = Matrix::from_vec(1, l.cols(), l.row(r).to_vec());
+                    total += loss::cross_entropy(&row, &[seq[t + 1]]) as f64;
+                    count += 1;
+                }
             }
         }
         ((total / count.max(1) as f64) as f32).exp()
@@ -373,6 +389,54 @@ mod tests {
             lstm.final_metric(),
             stateless_ppl
         );
+    }
+
+    /// The one-forward-per-sequence validation loop that batched
+    /// validation replaced, kept as its oracle.
+    fn per_sequence_perplexity(
+        model: &LstmLm,
+        backend: &dyn Backend,
+        seqs: &[Vec<usize>],
+    ) -> f32 {
+        let mut total = 0.0f64;
+        let mut count = 0usize;
+        for seq in seqs {
+            let mut logits = Vec::new();
+            model.forward(backend, &[seq.as_slice()], |_, l| logits.push(l));
+            for (t, l) in logits.iter().enumerate() {
+                total += loss::cross_entropy(l, &[seq[t + 1]]) as f64;
+                count += 1;
+            }
+        }
+        ((total / count.max(1) as f64) as f32).exp()
+    }
+
+    #[test]
+    fn batched_validation_matches_per_sequence_loop() {
+        let d = data();
+        // Runs of two lengths: 20, 20, 11, 11, 11, 20, 20, 11, ...
+        let mut val = d.val.clone();
+        for (i, seq) in val.iter_mut().enumerate() {
+            if i % 5 >= 2 {
+                seq.truncate(11);
+            }
+        }
+        let cfg = LstmConfig::default();
+        for backend in [&Fp32Backend as &dyn Backend, &Hbfp8Backend::new()] {
+            let mut model = LstmLm::new(d.vocab, &cfg);
+            for chunk in d.train.chunks(cfg.batch).take(4) {
+                let batch: Vec<&[usize]> = chunk.iter().map(Vec::as_slice).collect();
+                model.train_step(backend, &batch);
+            }
+            let batched = model.validation_perplexity(backend, &val);
+            let looped = per_sequence_perplexity(&model, backend, &val);
+            assert_eq!(
+                batched.to_bits(),
+                looped.to_bits(),
+                "{}: {batched} vs {looped}",
+                backend.name()
+            );
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn fitted_tables_json_is_thread_count_invariant() {
 
 #[test]
 fn gemm_kernels_are_thread_count_invariant() {
-    use equinox_arith::gemm::{gemm_bf16, gemm_f32};
+    use equinox_arith::gemm::{gemm_bf16, gemm_f32, gemm_hbfp, HbfpGemmConfig};
     use equinox_arith::Matrix;
     let _g = override_guard();
     let a = Matrix::from_fn(64, 96, |i, j| ((i * 31 + j * 17) % 23) as f32 - 11.0);
@@ -147,7 +147,8 @@ fn gemm_kernels_are_thread_count_invariant() {
     let probe = || {
         let f = gemm_f32(&a, &b);
         let h = gemm_bf16(&a, &b);
-        format!("{:?}{:?}", f.as_slice(), h.as_slice())
+        let q = gemm_hbfp(&a, &b, &HbfpGemmConfig::default());
+        format!("{:?}{:?}{:?}", f.as_slice(), h.as_slice(), q.as_slice())
     };
     let serial = with_threads(1, probe);
     let parallel = with_threads(4, probe);
