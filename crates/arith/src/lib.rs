@@ -17,6 +17,9 @@
 //! encodings, blocked tensor containers, and GEMM kernels for each encoding
 //! so that the `equinox-trainer` crate can reproduce the paper's Figure 2
 //! convergence comparison and the simulator can reason about operand sizes.
+//! It also holds the workspace's std-only utilities: the [`rng`] stream,
+//! the [`check`] property harness and the [`json`] value every `results/`
+//! artifact is rendered from.
 //!
 //! ## Example
 //!
@@ -37,10 +40,10 @@ pub mod convert;
 pub mod fixed;
 pub mod gemm;
 pub mod hbfp;
+pub mod json;
 pub mod matrix;
 pub mod metrics;
 pub mod rng;
-pub mod vector;
 pub mod wide;
 
 pub use bf16::Bf16;

@@ -18,13 +18,13 @@
 //! serial). Each renders its log and its `results/` payloads into
 //! memory; the main thread then prints logs and writes files in the
 //! canonical order, so stdout and every artifact are byte-identical at
-//! any thread count. Wall-clock readings land in
-//! `results/bench_timings.json`, the one artifact exempt from that rule,
-//! since it records timings of this very run.
+//! any thread count. Wall-clock readings, rounded to whole milliseconds,
+//! land in `results/bench_timings.json`, the one artifact exempt from
+//! that rule, since it records timings of this very run.
 
+use equinox_arith::json::Json;
 use equinox_bench::{Outcome, EXPERIMENTS};
 use equinox_core::ExperimentScale;
-use std::fmt::Write as _;
 use std::fs;
 use std::time::Instant;
 
@@ -38,36 +38,33 @@ fn write_result(name: &str, content: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders `results/bench_timings.json`: per-id wall clock, pool size,
-/// and the compile-cache counters.
-fn timings_json(threads: usize, quick: bool, total_s: f64, outcomes: &[Outcome]) -> String {
+/// `results/bench_timings.json`: per-id wall clock, pool size, and the
+/// compile-cache counters.
+fn timings_json(threads: usize, quick: bool, total_s: f64, outcomes: &[Outcome]) -> Json {
     let cache = equinox_isa::cache::stats();
-    let mut json = String::from("{\"tool\":\"regen-results\"");
-    let _ = write!(json, ",\"threads\":{threads},\"quick\":{quick}");
-    let _ = write!(json, ",\"total_s\":{total_s:.3}");
-    let _ = write!(
-        json,
-        ",\"compile_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-        cache.hits, cache.misses, cache.evictions
-    );
-    json.push_str(",\"experiments\":[");
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(json, "{{\"id\":\"{}\",\"wall_s\":{:.3}", o.experiment.id, o.wall_s);
+    let experiments = outcomes.iter().map(|o| {
+        let mut fields = vec![("id", o.experiment.id.into()), ("wall_s", Json::seconds(o.wall_s))];
         if quick {
-            let _ = write!(
-                json,
-                ",\"budget_s\":{:.1},\"within_budget\":{}",
-                o.experiment.quick_budget_s,
-                o.within_budget()
-            );
+            fields.push(("budget_s", o.experiment.quick_budget_s.into()));
+            fields.push(("within_budget", o.within_budget().into()));
         }
-        json.push('}');
-    }
-    json.push_str("]}\n");
-    json
+        Json::object(fields)
+    });
+    Json::object([
+        ("tool", "regen-results".into()),
+        ("threads", threads.into()),
+        ("quick", quick.into()),
+        ("total_s", Json::seconds(total_s)),
+        (
+            "compile_cache",
+            Json::object([
+                ("hits", cache.hits.into()),
+                ("misses", cache.misses.into()),
+                ("evictions", cache.evictions.into()),
+            ]),
+        ),
+        ("experiments", Json::array(experiments)),
+    ])
 }
 
 fn main() {
@@ -96,8 +93,11 @@ fn main() {
     }
 
     let elapsed = start.elapsed().as_secs_f64();
-    let timings = timings_json(threads, quick, elapsed, &outcomes);
-    failures.extend(write_result("bench_timings.json", &timings).err());
+    let timings = timings_json(threads, quick, elapsed, &outcomes)
+        .render()
+        .map_err(|e| format!("results/bench_timings.json: {e}"))
+        .and_then(|text| write_result("bench_timings.json", &(text + "\n")));
+    failures.extend(timings.err());
     println!("\nAll selected experiments done in {elapsed:.1}s ({threads} thread(s)).");
 
     if quick {

@@ -15,6 +15,7 @@
 //! See `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md`
 //! for paper-vs-measured numbers.
 
+use equinox_arith::json::Json;
 use equinox_core::experiments::{
     ablation, allreduce, bounds_calibration, diurnal, fault_sweep, fig10, fig11, fig2, fig6,
     fig7, fig8, fig9, fitted, fleet, numerics, serve, software_sched, table1, table2, table3,
@@ -44,6 +45,16 @@ impl Artifacts {
     fn file(mut self, name: impl Into<String>, content: String) -> Self {
         self.files.push((name.into(), content));
         self
+    }
+
+    /// Renders `value` into `results/<name>`. A value that does not
+    /// render (it holds a NaN or ±∞) writes no file and fails the gate
+    /// `results/<name>: <error>` instead.
+    fn json(self, name: &str, value: Json) -> Self {
+        match value.render() {
+            Ok(text) => self.file(name, text),
+            Err(e) => self.gate(format!("results/{name}: {e}"), false),
+        }
     }
 
     fn gate(mut self, name: impl Into<String>, holds: bool) -> Self {
@@ -445,7 +456,7 @@ fn run_ablation(scale: ExperimentScale) -> Artifacts {
 fn run_fault(scale: ExperimentScale) -> Artifacts {
     let sweep = fault_sweep::run(scale);
     Artifacts::with_log(&sweep)
-        .file("fault_sweep.json", sweep.to_json())
+        .json("fault_sweep.json", sweep.to_json())
         .gate("baseline_is_clean", sweep.baseline_is_clean())
         .gate("lints_clean", !sweep.has_check_errors())
 }
@@ -456,7 +467,7 @@ fn run_fault(scale: ExperimentScale) -> Artifacts {
 fn run_fleet(scale: ExperimentScale) -> Artifacts {
     let sweep = fleet::run(scale);
     Artifacts::with_log(&sweep)
-        .file("fleet_sweep.json", sweep.to_json())
+        .json("fleet_sweep.json", sweep.to_json())
         .gate("training_aware_wins", sweep.training_aware_wins())
 }
 
@@ -468,7 +479,7 @@ fn run_fleet(scale: ExperimentScale) -> Artifacts {
 fn run_allreduce(scale: ExperimentScale) -> Artifacts {
     let sweep = allreduce::run(scale);
     Artifacts::with_log(&sweep)
-        .file("allreduce_sweep.json", sweep.to_json())
+        .json("allreduce_sweep.json", sweep.to_json())
         .gate("frontier_complete", sweep.frontier_complete())
         .gate("synced_positive_at_moderate", sweep.synced_positive_at_moderate())
         .gate("reference_slo_clean", sweep.reference_slo_clean())
@@ -484,7 +495,7 @@ fn run_allreduce(scale: ExperimentScale) -> Artifacts {
 fn run_serve(scale: ExperimentScale) -> Artifacts {
     let sweep = serve::run(scale);
     Artifacts::with_log(&sweep)
-        .file("serve_sweep.json", sweep.to_json())
+        .json("serve_sweep.json", sweep.to_json())
         .gate("priority_protects_paid", sweep.priority_protects_paid())
         .gate("free_is_shed_first", sweep.free_is_shed_first())
         .gate("autoscale_drains_cleanly", sweep.autoscale_drains_cleanly())
@@ -499,7 +510,7 @@ fn run_serve(scale: ExperimentScale) -> Artifacts {
 fn run_bounds(scale: ExperimentScale) -> Artifacts {
     let cal = bounds_calibration::run(scale);
     let mut out = Artifacts::with_log(&cal)
-        .file("bounds_calibration.json", cal.to_json())
+        .json("bounds_calibration.json", cal.to_json())
         .gate("all_calibrated", cal.all_calibrated());
     for c in &cal.cells {
         out = out.gate(format!("{}/{} calibrated", c.model, c.mode), c.passes());
@@ -515,7 +526,7 @@ fn run_fitted(scale: ExperimentScale) -> Artifacts {
     // The process-wide fit, shared with the scaled fleet/serve cells.
     let cal = fitted::FittedCalibration::shared(scale);
     let mut out = Artifacts::with_log(cal)
-        .file("fitted_tables.json", cal.to_json())
+        .json("fitted_tables.json", cal.to_json())
         .gate("all_calibrated", cal.all_calibrated());
     for f in &cal.fits {
         out = out.gate(format!("{} calibrated", f.model), f.passes());
@@ -533,7 +544,7 @@ fn run_fitted(scale: ExperimentScale) -> Artifacts {
 fn run_numerics(scale: ExperimentScale) -> Artifacts {
     let sweep = numerics::run(scale);
     let mut out = Artifacts::with_log(&sweep)
-        .file("numerics_sweep.json", sweep.to_json())
+        .json("numerics_sweep.json", sweep.to_json())
         .gate("all_calibrated", sweep.all_calibrated());
     for c in &sweep.cells {
         out = out.gate(format!("{}/{} calibrated", c.model, c.mode), c.passes());
@@ -583,22 +594,20 @@ fn run_checks(_: ExperimentScale) -> Artifacts {
         |model| (format!("training/{}", model.name()), eq.check_training(&model, 16_000_000)),
     ));
     let mut out = Artifacts::default();
-    let mut json = String::from("{\"tool\":\"regen-results\",\"reports\":[");
-    for (i, (driver, report)) in verdicts.iter().enumerate() {
+    for (driver, report) in &verdicts {
         let _ = writeln!(
             out.log,
             "  {driver}: {} error(s), {} warning(s)",
             report.error_count(),
             report.warning_count()
         );
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(json, "{{\"driver\":\"{driver}\",\"report\":{}}}", report.to_json());
         out = out.gate(format!("{driver} has no errors"), report.error_count() == 0);
     }
-    json.push_str("]}");
-    out.file("driver_checks.json", json)
+    let reports = verdicts.iter().map(|(driver, report)| {
+        Json::object([("driver", driver.as_str().into()), ("report", report.to_json())])
+    });
+    let json = Json::object([("tool", "regen-results".into()), ("reports", Json::array(reports))]);
+    out.json("driver_checks.json", json)
 }
 
 #[cfg(test)]
@@ -652,5 +661,20 @@ mod tests {
         let over = failures(&slow, ExperimentScale::Quick);
         assert_eq!(over.len(), 1);
         assert!(over[0].starts_with(&format!("{id}: --quick run took")), "{over:?}");
+    }
+
+    #[test]
+    fn a_non_finite_artifact_writes_no_file_and_fails_the_run_by_name() {
+        let cell = |p99_ms: f64| Json::object([("p99_ms", p99_ms.into())]);
+        let broken = Json::object([("cells", Json::array([cell(1.5), cell(f64::NAN)]))]);
+        let artifacts =
+            Artifacts::default().json("broken.json", broken).json("fine.json", cell(1.5));
+        assert_eq!(artifacts.files, [("fine.json".to_string(), r#"{"p99_ms":1.5}"#.to_string())]);
+        let outcome = Outcome { experiment: &EXPERIMENTS[0], artifacts, wall_s: 0.0 };
+        let id = EXPERIMENTS[0].id;
+        assert_eq!(
+            failures(&[outcome], ExperimentScale::Full),
+            [format!("{id}: results/broken.json: non-finite number NaN at cells[1].p99_ms")]
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! accelerator family (both encodings), runs all pass families over both
 //! the inference and training lowerings, prints a human summary, and
 //! writes a machine-readable report to `results/equinox_check.json`
-//! plus per-pass wall-clock timings to `results/check_timings.json`
-//! (the timings file is a measurement, exempt from the determinism
-//! contract, like `results/bench_timings.json`).
+//! plus per-pass wall-clock timings, with the `equinox-par` pool size
+//! they were taken at, to `results/check_timings.json` (the timings
+//! file is a measurement, exempt from the determinism contract, like
+//! `results/bench_timings.json`).
 //!
 //! With file arguments, each file is treated as an installable
 //! instruction stream (the 16-byte-word wire format), decoded, and
@@ -18,6 +19,7 @@
 //! The exit code is non-zero iff any error-severity diagnostic was
 //! produced — or, under `--deny-warnings`, any warning.
 
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::bounds::paper_energy_params;
 use equinox_check::{
@@ -302,42 +304,14 @@ fn check_file(path: &str, passes: &PassSelection) -> Report {
     }
 }
 
-fn write_json(reports: &[Report]) -> std::io::Result<()> {
-    std::fs::create_dir_all("results")?;
-    let mut json = String::from("{\"tool\":\"equinox-check\",\"reports\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&r.to_json());
-    }
-    json.push_str("]}\n");
-    std::fs::write("results/equinox_check.json", json)
-}
-
-/// Writes per-pass wall-clock to `results/check_timings.json` — the
-/// same shape as `results/bench_timings.json` and, like it, exempt from
-/// the byte-identical determinism contract (it is a measurement).
-fn write_timings(pass_seconds: &[f64; 6], total_s: f64) -> std::io::Result<()> {
-    std::fs::create_dir_all("results")?;
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut json = format!(
-        "{{\"tool\":\"equinox-check\",\"threads\":{threads},\"total_s\":{total_s:.3},\"passes\":["
-    );
-    let mut first = true;
-    for pass in Pass::ALL {
-        let seconds = pass_seconds[pass as usize];
-        if seconds == 0.0 {
-            continue;
-        }
-        if !first {
-            json.push(',');
-        }
-        first = false;
-        json.push_str(&format!("{{\"pass\":\"{pass}\",\"wall_s\":{seconds:.3}}}"));
-    }
-    json.push_str("]}\n");
-    std::fs::write("results/check_timings.json", json)
+/// Renders `value` into `results/<name>` with a trailing newline,
+/// naming the file in any error.
+fn write_result(name: &str, value: &Json) -> Result<(), String> {
+    let path = format!("results/{name}");
+    let text = value.render().map_err(|e| format!("cannot write {path}: {e}"))?;
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, text + "\n"))
+        .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn main() {
@@ -407,19 +381,37 @@ fn main() {
     );
 
     if files.is_empty() {
-        match write_json(&reports) {
-            Ok(()) => println!("report written to results/equinox_check.json"),
-            Err(e) => {
-                eprintln!("equinox-check: cannot write results/equinox_check.json: {e}");
+        let report = Json::object([
+            ("tool", "equinox-check".into()),
+            ("reports", Json::array(reports.iter().map(Report::to_json))),
+        ]);
+        // Per-pass wall clock: a measurement, exempt from the
+        // byte-identical determinism contract like
+        // `results/bench_timings.json`. Passes that did not run are left out.
+        let passes = Pass::ALL.into_iter().filter(|&pass| pass_seconds[pass as usize] != 0.0);
+        let timings = Json::object([
+            ("tool", "equinox-check".into()),
+            ("threads", equinox_par::thread_count().into()),
+            ("total_s", Json::seconds(started.elapsed().as_secs_f64())),
+            (
+                "passes",
+                Json::array(passes.map(|pass| {
+                    Json::object([
+                        ("pass", pass.to_string().into()),
+                        ("wall_s", Json::seconds(pass_seconds[pass as usize])),
+                    ])
+                })),
+            ),
+        ]);
+        for (name, value, what) in [
+            ("equinox_check.json", report, "report"),
+            ("check_timings.json", timings, "pass timings"),
+        ] {
+            if let Err(e) = write_result(name, &value) {
+                eprintln!("equinox-check: {e}");
                 std::process::exit(2);
             }
-        }
-        match write_timings(&pass_seconds, started.elapsed().as_secs_f64()) {
-            Ok(()) => println!("pass timings written to results/check_timings.json"),
-            Err(e) => {
-                eprintln!("equinox-check: cannot write results/check_timings.json: {e}");
-                std::process::exit(2);
-            }
+            println!("{what} written to results/{name}");
         }
     }
     if deny_warnings && warnings > 0 {

@@ -20,6 +20,8 @@
 //! (The retired `01xx` range held the pre-region occupancy-timeline
 //! pass; its codes are not reused.)
 
+use equinox_arith::json::Json;
+
 /// A stable diagnostic code, rendered as `EQXnnnn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Code(u16);
@@ -376,55 +378,29 @@ impl Report {
         out
     }
 
-    /// The report as a JSON object (hand-rolled; the workspace carries
-    /// no serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"subject\":{},", json_string(&self.subject)));
-        out.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"notes\":{},",
-            self.error_count(),
-            self.warning_count(),
-            self.count(Severity::Note)
-        ));
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{}",
-                d.code,
-                d.severity,
-                json_string(&d.message)
-            ));
+    /// The report as a JSON object: subject, severity counts and every
+    /// finding (code, severity, message and, if it has one, its span).
+    pub fn to_json(&self) -> Json {
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            let mut fields = vec![
+                ("code", d.code.to_string().into()),
+                ("severity", d.severity.to_string().into()),
+                ("message", d.message.as_str().into()),
+            ];
             if let Some(span) = d.span {
-                out.push_str(&format!(",\"span\":{{\"start\":{},\"end\":{}}}", span.start, span.end));
+                let span = Json::object([("start", span.start.into()), ("end", span.end.into())]);
+                fields.push(("span", span));
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            Json::object(fields)
+        });
+        Json::object([
+            ("subject", self.subject.as_str().into()),
+            ("errors", self.error_count().into()),
+            ("warnings", self.warning_count().into()),
+            ("notes", self.count(Severity::Note).into()),
+            ("diagnostics", Json::array(diagnostics)),
+        ])
     }
-}
-
-/// Escapes a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -519,12 +495,14 @@ mod tests {
 
     #[test]
     fn json_escapes_and_structure() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         let mut r = Report::new("p\"q");
         r.push(Diagnostic::error(Code::DECODE_ERROR, "bad\tbyte").with_span(Span::at(0)));
-        let j = r.to_json();
+        r.push(Diagnostic::note(Code::DRAM_TRAFFIC_SANITY, "a\"b\\c\nd"));
+        let j = r.to_json().render().unwrap();
         assert!(j.contains("\"subject\":\"p\\\"q\""), "{j}");
         assert!(j.contains("\"code\":\"EQX0302\""), "{j}");
+        assert!(j.contains("\"message\":\"bad\\tbyte\""), "{j}");
+        assert!(j.contains("\"message\":\"a\\\"b\\\\c\\nd\"}"), "{j}");
         assert!(j.contains("\"span\":{\"start\":0,\"end\":1}"), "{j}");
         assert!(j.contains("\"errors\":1"), "{j}");
     }

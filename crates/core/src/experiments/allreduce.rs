@@ -23,8 +23,8 @@
 //! and the `EQX09xx` interconnect lints are clean on the swept fabric.
 
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
-use equinox_check::diag::json_string;
 use equinox_check::{analyze_interconnect, InterconnectParams, Severity};
 use equinox_fleet::{
     AdmissionSpec, AllReduceSchedule, ArrivalSource, DeviceSpec, Fleet, FleetRunOptions,
@@ -374,62 +374,47 @@ impl AllReduceSweep {
             && self.lints_clean()
     }
 
-    /// The sweep as a JSON document (hand-rolled; the workspace
-    /// carries no serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"deadline_ms\":{},", self.deadline_ms));
-        out.push_str(&format!("\"gradient_bytes\":{},", self.gradient_bytes));
-        out.push_str(&format!("\"fleet_size\":{},", self.fleet_size));
-        out.push_str(&format!("\"participants\":{},", self.participants));
-        out.push_str(&format!("\"lint_errors\":{},", self.lint_errors));
-        out.push_str(&format!("\"lint_warnings\":{},", self.lint_warnings));
-        out.push_str(&format!("\"passes\":{},", self.passes()));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let links: Vec<String> = c
-                .link_utilization
-                .iter()
-                .map(|(name, u)| format!("{{\"link\":{},\"utilization\":{u}}}", json_string(name)))
-                .collect();
-            out.push_str(&format!(
-                "{{\"topology\":{},\"schedule\":{},\"load\":{},\"offered\":{},\
-                 \"completed\":{},\"violations\":{},\"p99_ms\":{},\
-                 \"paid_shed\":{},\"paid_misses\":{},\"paid_sync_misses\":{},\
-                 \"round_cycles\":{},\"retries\":{},\"aborted_flows\":{},\
-                 \"deadlocked\":{},\"truncated\":{},\"conserved\":{},\
-                 \"bg_delay_mean_cycles\":{},\"peak_link_utilization\":{},\
-                 \"raw_free_epochs\":{},\"synced_free_epochs\":{},\
-                 \"sync_overhead_frac\":{},\"link_utilization\":[{}]}}",
-                json_string(c.topology),
-                json_string(c.schedule),
-                c.load,
-                c.offered,
-                c.completed,
-                c.violations,
-                c.p99_ms,
-                c.paid_shed,
-                c.paid_misses,
-                c.paid_sync_misses,
-                c.round_cycles,
-                c.retries,
-                c.aborted_flows,
-                c.deadlocked,
-                c.truncated,
-                c.conserved,
-                c.bg_delay_mean_cycles,
-                c.peak_link_utilization,
-                c.raw_free_epochs,
-                c.synced_free_epochs,
-                c.sync_overhead_frac,
-                links.join(","),
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The sweep as a JSON document.
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            let links = c.link_utilization.iter().map(|(name, u)| {
+                Json::object([("link", name.as_str().into()), ("utilization", (*u).into())])
+            });
+            Json::object([
+                ("topology", c.topology.into()),
+                ("schedule", c.schedule.into()),
+                ("load", c.load.into()),
+                ("offered", c.offered.into()),
+                ("completed", c.completed.into()),
+                ("violations", c.violations.into()),
+                ("p99_ms", c.p99_ms.into()),
+                ("paid_shed", c.paid_shed.into()),
+                ("paid_misses", c.paid_misses.into()),
+                ("paid_sync_misses", c.paid_sync_misses.into()),
+                ("round_cycles", c.round_cycles.into()),
+                ("retries", c.retries.into()),
+                ("aborted_flows", c.aborted_flows.into()),
+                ("deadlocked", c.deadlocked.into()),
+                ("truncated", c.truncated.into()),
+                ("conserved", c.conserved.into()),
+                ("bg_delay_mean_cycles", c.bg_delay_mean_cycles.into()),
+                ("peak_link_utilization", c.peak_link_utilization.into()),
+                ("raw_free_epochs", c.raw_free_epochs.into()),
+                ("synced_free_epochs", c.synced_free_epochs.into()),
+                ("sync_overhead_frac", c.sync_overhead_frac.into()),
+                ("link_utilization", Json::array(links)),
+            ])
+        });
+        Json::object([
+            ("deadline_ms", self.deadline_ms.into()),
+            ("gradient_bytes", self.gradient_bytes.into()),
+            ("fleet_size", self.fleet_size.into()),
+            ("participants", self.participants.into()),
+            ("lint_errors", self.lint_errors.into()),
+            ("lint_warnings", self.lint_warnings.into()),
+            ("passes", self.passes().into()),
+            ("cells", Json::array(cells)),
+        ])
     }
 }
 
@@ -541,7 +526,7 @@ mod tests {
 
     #[test]
     fn the_artifact_records_the_frontier() {
-        let json = sweep().to_json();
+        let json = sweep().to_json().render().unwrap();
         assert!(json.contains("\"passes\":true"));
         assert!(json.contains("\"topology\":\"one_big_switch\""));
         assert!(json.contains("\"schedule\":\"tree\""));
@@ -554,8 +539,8 @@ mod tests {
     #[test]
     fn the_sweep_is_deterministic() {
         // Two fresh runs (not the shared one) must render identically.
-        let a = run(ExperimentScale::Quick).to_json();
-        let b = run(ExperimentScale::Quick).to_json();
+        let a = run(ExperimentScale::Quick).to_json().render().unwrap();
+        let b = run(ExperimentScale::Quick).to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

@@ -28,9 +28,9 @@
 
 use crate::accelerator::Equinox;
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::bounds::{compute_bounds, paper_energy_params, soundness_diagnostics};
-use equinox_check::diag::json_string;
 use equinox_check::BufferBudget;
 use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
 use equinox_isa::lower::InferenceTiming;
@@ -270,58 +270,42 @@ impl BoundsCalibration {
         self.cells.iter().filter(|c| !c.passes()).collect()
     }
 
-    /// The calibration as a JSON document (hand-rolled; the workspace
-    /// carries no serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"config\":{},", json_string(&self.config)));
-        out.push_str(&format!("\"freq_hz\":{},", self.freq_hz));
-        out.push_str(&format!("\"ratio_ceiling\":{},", RATIO_CEILING));
-        out.push_str(&format!("\"sim_tolerance_cycles\":{},", SIM_TOLERANCE_CYCLES));
-        out.push_str(&format!("\"all_calibrated\":{},", self.all_calibrated()));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let probes: Vec<String> = c
-                .probes
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"operating_point\":{},\"sim_cycles\":{},\
-                         \"deviation_cycles\":{},\"agrees\":{}}}",
-                        json_string(p.operating_point),
-                        p.sim_cycles,
-                        p.deviation_cycles,
-                        p.agrees,
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "{{\"model\":{},\"mode\":{},\"batch\":{},\"instructions\":{},\
-                 \"measured_cycles\":{},\"lower_cycles\":{},\"upper_cycles\":{},\
-                 \"ratio\":{},\"contained\":{},\"sound\":{},\
-                 \"energy_lower_j\":{},\"energy_upper_j\":{},\
-                 \"passes\":{},\"probes\":[{}]}}",
-                json_string(&c.model),
-                json_string(c.mode),
-                c.batch,
-                c.instructions,
-                c.measured_cycles,
-                c.lower_cycles,
-                c.upper_cycles,
-                c.ratio,
-                c.contained,
-                c.sound,
-                c.energy_lower_j,
-                c.energy_upper_j,
-                c.passes(),
-                probes.join(","),
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The calibration as a JSON document.
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            let probes = c.probes.iter().map(|p| {
+                Json::object([
+                    ("operating_point", p.operating_point.into()),
+                    ("sim_cycles", p.sim_cycles.into()),
+                    ("deviation_cycles", p.deviation_cycles.into()),
+                    ("agrees", p.agrees.into()),
+                ])
+            });
+            Json::object([
+                ("model", c.model.as_str().into()),
+                ("mode", c.mode.into()),
+                ("batch", c.batch.into()),
+                ("instructions", c.instructions.into()),
+                ("measured_cycles", c.measured_cycles.into()),
+                ("lower_cycles", c.lower_cycles.into()),
+                ("upper_cycles", c.upper_cycles.into()),
+                ("ratio", c.ratio.into()),
+                ("contained", c.contained.into()),
+                ("sound", c.sound.into()),
+                ("energy_lower_j", c.energy_lower_j.into()),
+                ("energy_upper_j", c.energy_upper_j.into()),
+                ("passes", c.passes().into()),
+                ("probes", Json::array(probes)),
+            ])
+        });
+        Json::object([
+            ("config", self.config.as_str().into()),
+            ("freq_hz", self.freq_hz.into()),
+            ("ratio_ceiling", RATIO_CEILING.into()),
+            ("sim_tolerance_cycles", SIM_TOLERANCE_CYCLES.into()),
+            ("all_calibrated", self.all_calibrated().into()),
+            ("cells", Json::array(cells)),
+        ])
     }
 }
 
@@ -422,7 +406,7 @@ mod tests {
 
     #[test]
     fn artifact_records_the_gate_and_every_cell() {
-        let json = calibration().to_json();
+        let json = calibration().to_json().render().unwrap();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"all_calibrated\":true"));
         assert!(json.contains("\"operating_point\":\"fig11_static\""));
@@ -432,8 +416,8 @@ mod tests {
     #[test]
     fn calibration_is_deterministic() {
         // Two fresh runs (not the shared one) must render identically.
-        let a = run(ExperimentScale::Quick).to_json();
-        let b = run(ExperimentScale::Quick).to_json();
+        let a = run(ExperimentScale::Quick).to_json().render().unwrap();
+        let b = run(ExperimentScale::Quick).to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

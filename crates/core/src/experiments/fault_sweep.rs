@@ -19,8 +19,8 @@
 
 use crate::accelerator::{Equinox, RunOptions};
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
-use equinox_check::diag::json_string;
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
 use equinox_sim::{DegradationPolicy, FaultScenario, SloSpec};
@@ -216,57 +216,37 @@ impl FaultSweep {
         self.checks.iter().any(|c| c.report.has_errors())
     }
 
-    /// The sweep as a JSON document (hand-rolled; the workspace carries
-    /// no serialization dependency). Embeds the `equinox-check`
+    /// The sweep as a JSON document. Embeds the `equinox-check`
     /// verdicts alongside the measured grid.
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map_or("null".to_string(), |x| format!("{x}"))
-        }
-        let mut out = String::from("{");
-        out.push_str(&format!("\"deadline_ms\":{},", self.deadline_ms));
-        out.push_str(&format!("\"baseline_clean\":{},", self.baseline_is_clean()));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"scenario\":{},\"policy\":{},\"completed\":{},\"shed\":{},\
-                 \"violations\":{},\"violation_rate\":{},\"p999_ms\":{},\
-                 \"training_tops\":{},\"training_loss\":{},\"recovery_ms\":{},\
-                 \"recovered\":{},\"corrupted\":{},\"retried\":{},\"dropped\":{},\
-                 \"peak_queue\":{}}}",
-                json_string(&c.scenario),
-                json_string(&c.policy),
-                c.completed,
-                c.shed,
-                c.violations,
-                c.violation_rate,
-                c.p999_ms,
-                c.training_tops,
-                c.training_loss,
-                opt(c.recovery_ms),
-                c.recovered,
-                c.corrupted,
-                c.retried,
-                c.dropped,
-                c.peak_queue,
-            ));
-        }
-        out.push_str("],\"checks\":[");
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"policy\":{},\"report\":{}}}",
-                json_string(&c.policy),
-                c.report.to_json()
-            ));
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::object([
+                ("scenario", c.scenario.as_str().into()),
+                ("policy", c.policy.as_str().into()),
+                ("completed", c.completed.into()),
+                ("shed", c.shed.into()),
+                ("violations", c.violations.into()),
+                ("violation_rate", c.violation_rate.into()),
+                ("p999_ms", c.p999_ms.into()),
+                ("training_tops", c.training_tops.into()),
+                ("training_loss", c.training_loss.into()),
+                ("recovery_ms", c.recovery_ms.into()),
+                ("recovered", c.recovered.into()),
+                ("corrupted", c.corrupted.into()),
+                ("retried", c.retried.into()),
+                ("dropped", c.dropped.into()),
+                ("peak_queue", c.peak_queue.into()),
+            ])
+        });
+        let checks = self.checks.iter().map(|c| {
+            Json::object([("policy", c.policy.as_str().into()), ("report", c.report.to_json())])
+        });
+        Json::object([
+            ("deadline_ms", self.deadline_ms.into()),
+            ("baseline_clean", self.baseline_is_clean().into()),
+            ("cells", Json::array(cells)),
+            ("checks", Json::array(checks)),
+        ])
     }
 }
 
@@ -359,15 +339,15 @@ mod tests {
         let s = sweep();
         assert_eq!(s.checks.len(), 4);
         assert!(!s.has_check_errors(), "{s}");
-        let json = s.to_json();
+        let json = s.to_json().render().unwrap();
         assert!(json.contains("\"checks\":["));
         assert!(json.contains("\"policy\":\"shedding\""));
     }
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = sweep().to_json();
-        let b = sweep().to_json();
+        let a = sweep().to_json().render().unwrap();
+        let b = sweep().to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

@@ -35,9 +35,9 @@
 
 use crate::accelerator::Equinox;
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::bounds::{compute_bounds, paper_energy_params};
-use equinox_check::diag::json_string;
 use equinox_check::BufferBudget;
 use equinox_fleet::{sorted_quantile, DeviceSpec, FittedTable, GRID_POINTS, MAX_STRETCH};
 use equinox_isa::cache::compile_inference_cached;
@@ -486,89 +486,59 @@ impl FittedCalibration {
         out
     }
 
-    /// The tables + calibration as a JSON document (hand-rolled; the
-    /// workspace carries no serialization dependency).
-    pub fn to_json(&self) -> String {
-        fn f64s(values: &[f64]) -> String {
-            let inner: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-            format!("[{}]", inner.join(","))
-        }
-        let mut out = String::from("{");
-        out.push_str(&format!("\"config\":{},", json_string(&self.config)));
-        out.push_str(&format!("\"freq_hz\":{},", self.freq_hz));
-        out.push_str(&format!("\"grid_points\":{GRID_POINTS},"));
-        out.push_str(&format!("\"max_stretch\":{MAX_STRETCH},"));
-        out.push_str(&format!("\"error_ceiling\":{ERROR_CEILING},"));
-        out.push_str(&format!("\"min_heldout_samples\":{MIN_HELDOUT_SAMPLES},"));
-        out.push_str(&format!("\"escape_tolerance_cycles\":{ESCAPE_TOLERANCE_CYCLES},"));
-        out.push_str(&format!("\"seeds_per_load\":{},", self.seeds_per_load));
-        out.push_str(&format!("\"loads\":{},", f64s(&FIT_LOADS)));
-        out.push_str(&format!("\"all_calibrated\":{},", self.all_calibrated()));
-        out.push_str("\"tables\":[");
-        for (i, f) in self.fits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let edges: Vec<String> =
-                f.table.bucket_edges().iter().map(|e| format!("{e}")).collect();
-            let grids: Vec<String> = f
-                .table
-                .buckets()
-                .iter()
-                .map(|g| {
-                    format!(
-                        "{{\"count\":{},\"occupancy_cycles\":{},\"stretch\":{},\
-                         \"energy_j\":{}}}",
-                        g.count,
-                        f64s(&g.occupancy_cycles),
-                        f64s(&g.stretch),
-                        f64s(&g.energy_j),
-                    )
-                })
-                .collect();
-            let calibration: Vec<String> = f
-                .buckets
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"bucket\":{},\"train_count\":{},\"heldout_count\":{},\
-                         \"checked\":{},\"max_occupancy_rel_err\":{},\
-                         \"max_duration_rel_err\":{},\"passes\":{}}}",
-                        b.bucket,
-                        b.train_count,
-                        b.heldout_count,
-                        b.checked,
-                        b.max_occupancy_rel_err,
-                        b.max_duration_rel_err,
-                        b.passes(),
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "{{\"model\":{},\"batch\":{},\"lower_cycles\":{},\"upper_cycles\":{},\
-                 \"energy_lower_j\":{},\"energy_upper_j\":{},\"measured_cycles\":{},\
-                 \"contained\":{},\"train_samples\":{},\"heldout_samples\":{},\
-                 \"envelope_escapes\":{},\"passes\":{},\"bucket_edges\":[{}],\
-                 \"buckets\":[{}],\"calibration\":[{}]}}",
-                json_string(&f.model),
-                f.batch,
-                f.lower_cycles,
-                f.upper_cycles,
-                f.energy_lower_j,
-                f.energy_upper_j,
-                f.measured_cycles,
-                f.contained,
-                f.train_samples,
-                f.heldout_samples,
-                f.envelope_escapes,
-                f.passes(),
-                edges.join(","),
-                grids.join(","),
-                calibration.join(","),
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The tables + calibration as a JSON document.
+    pub fn to_json(&self) -> Json {
+        let tables = self.fits.iter().map(|f| {
+            let grids = f.table.buckets().iter().map(|g| {
+                Json::object([
+                    ("count", g.count.into()),
+                    ("occupancy_cycles", g.occupancy_cycles.as_slice().into()),
+                    ("stretch", g.stretch.as_slice().into()),
+                    ("energy_j", g.energy_j.as_slice().into()),
+                ])
+            });
+            let calibration = f.buckets.iter().map(|b| {
+                Json::object([
+                    ("bucket", b.bucket.into()),
+                    ("train_count", b.train_count.into()),
+                    ("heldout_count", b.heldout_count.into()),
+                    ("checked", b.checked.into()),
+                    ("max_occupancy_rel_err", b.max_occupancy_rel_err.into()),
+                    ("max_duration_rel_err", b.max_duration_rel_err.into()),
+                    ("passes", b.passes().into()),
+                ])
+            });
+            Json::object([
+                ("model", f.model.as_str().into()),
+                ("batch", f.batch.into()),
+                ("lower_cycles", f.lower_cycles.into()),
+                ("upper_cycles", f.upper_cycles.into()),
+                ("energy_lower_j", f.energy_lower_j.into()),
+                ("energy_upper_j", f.energy_upper_j.into()),
+                ("measured_cycles", f.measured_cycles.into()),
+                ("contained", f.contained.into()),
+                ("train_samples", f.train_samples.into()),
+                ("heldout_samples", f.heldout_samples.into()),
+                ("envelope_escapes", f.envelope_escapes.into()),
+                ("passes", f.passes().into()),
+                ("bucket_edges", f.table.bucket_edges().into()),
+                ("buckets", Json::array(grids)),
+                ("calibration", Json::array(calibration)),
+            ])
+        });
+        Json::object([
+            ("config", self.config.as_str().into()),
+            ("freq_hz", self.freq_hz.into()),
+            ("grid_points", GRID_POINTS.into()),
+            ("max_stretch", MAX_STRETCH.into()),
+            ("error_ceiling", ERROR_CEILING.into()),
+            ("min_heldout_samples", MIN_HELDOUT_SAMPLES.into()),
+            ("escape_tolerance_cycles", ESCAPE_TOLERANCE_CYCLES.into()),
+            ("seeds_per_load", self.seeds_per_load.into()),
+            ("loads", FIT_LOADS.as_slice().into()),
+            ("all_calibrated", self.all_calibrated().into()),
+            ("tables", Json::array(tables)),
+        ])
     }
 }
 
@@ -668,7 +638,7 @@ mod tests {
 
     #[test]
     fn artifact_records_tables_and_calibration() {
-        let json = cal().to_json();
+        let json = cal().to_json().render().unwrap();
         assert!(json.contains("\"all_calibrated\":true"), "{json}");
         assert!(json.contains("\"model\":\"LSTM\""));
         assert!(json.contains("\"model\":\"MLP\""));
@@ -681,8 +651,8 @@ mod tests {
     #[test]
     fn calibration_is_deterministic() {
         // Two fresh runs (not the shared one) must render identically.
-        let a = run(ExperimentScale::Quick).to_json();
-        let b = run(ExperimentScale::Quick).to_json();
+        let a = run(ExperimentScale::Quick).to_json().render().unwrap();
+        let b = run(ExperimentScale::Quick).to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

@@ -19,8 +19,8 @@
 use crate::accelerator::Equinox;
 use crate::experiments::fitted::FittedCalibration;
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
-use equinox_check::diag::json_string;
 use equinox_fleet::{
     AdmissionSpec, ArrivalSource, DeviceSpec, Fleet, FleetRunOptions, RoutingPolicy,
 };
@@ -387,94 +387,63 @@ impl FleetSweep {
         })
     }
 
-    /// The sweep as a JSON document (hand-rolled; the workspace carries
-    /// no serialization dependency).
-    pub fn to_json(&self) -> String {
-        fn f64s(values: &[f64]) -> String {
-            let inner: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-            format!("[{}]", inner.join(","))
-        }
-        let mut out = String::from("{");
-        out.push_str(&format!("\"deadline_ms\":{},", self.deadline_ms));
-        out.push_str(&format!("\"training_aware_wins\":{},", self.training_aware_wins()));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let assigned: Vec<String> =
-                c.assigned_per_device.iter().map(|v| format!("{v}")).collect();
-            out.push_str(&format!(
-                "{{\"fleet_size\":{},\"training_devices\":{},\"policy\":{},\
-                 \"load\":{},\"offered\":{},\"completed\":{},\"shed\":{},\
-                 \"violations\":{},\"violation_rate\":{},\"p99_ms\":{},\
-                 \"p999_ms\":{},\"inference_tops\":{},\"training_tops\":{},\
-                 \"free_epochs\":{},\"epochs_per_device\":{},\
-                 \"assigned_per_device\":[{}]}}",
-                c.fleet_size,
-                c.training_devices,
-                json_string(c.policy),
-                c.load,
-                c.offered,
-                c.completed,
-                c.shed,
-                c.violations,
-                c.violation_rate,
-                c.p99_ms,
-                c.p999_ms,
-                c.inference_tops,
-                c.training_tops,
-                c.free_epochs,
-                f64s(&c.epochs_per_device),
-                assigned.join(","),
-            ));
-        }
-        out.push_str("],\"scaled\":[");
-        for (i, c) in self.scaled.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fleet_size\":{},\"training_devices\":{},\"policy\":{},\
-                 \"load\":{},\"intervals\":{},\"horizon_multiple\":{},\
-                 \"offered\":{},\"completed\":{},\"violations\":{},\
-                 \"p99_ms\":{},\"free_epochs\":{},\"inference_energy_j\":{},\
-                 \"paid_displaced_epochs\":{},\"free_displaced_epochs\":{}}}",
-                c.fleet_size,
-                c.training_devices,
-                json_string(c.policy),
-                c.load,
-                c.intervals,
-                c.horizon_multiple,
-                c.offered,
-                c.completed,
-                c.violations,
-                c.p99_ms,
-                c.free_epochs,
-                c.inference_energy_j,
-                c.paid_displaced_epochs,
-                c.free_displaced_epochs,
-            ));
-        }
-        out.push_str("],\"harvest_comparisons\":[");
-        for (i, c) in self.comparisons.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fleet_size\":{},\"load\":{},\"round_robin_epochs\":{},\
-                 \"training_aware_epochs\":{},\"advantage\":{},\
-                 \"training_aware_slo_clean\":{}}}",
-                c.fleet_size,
-                c.load,
-                c.round_robin_epochs,
-                c.training_aware_epochs,
-                c.advantage,
-                c.training_aware_slo_clean,
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The sweep as a JSON document.
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::object([
+                ("fleet_size", c.fleet_size.into()),
+                ("training_devices", c.training_devices.into()),
+                ("policy", c.policy.into()),
+                ("load", c.load.into()),
+                ("offered", c.offered.into()),
+                ("completed", c.completed.into()),
+                ("shed", c.shed.into()),
+                ("violations", c.violations.into()),
+                ("violation_rate", c.violation_rate.into()),
+                ("p99_ms", c.p99_ms.into()),
+                ("p999_ms", c.p999_ms.into()),
+                ("inference_tops", c.inference_tops.into()),
+                ("training_tops", c.training_tops.into()),
+                ("free_epochs", c.free_epochs.into()),
+                ("epochs_per_device", c.epochs_per_device.as_slice().into()),
+                ("assigned_per_device", c.assigned_per_device.as_slice().into()),
+            ])
+        });
+        let scaled = self.scaled.iter().map(|c| {
+            Json::object([
+                ("fleet_size", c.fleet_size.into()),
+                ("training_devices", c.training_devices.into()),
+                ("policy", c.policy.into()),
+                ("load", c.load.into()),
+                ("intervals", c.intervals.into()),
+                ("horizon_multiple", c.horizon_multiple.into()),
+                ("offered", c.offered.into()),
+                ("completed", c.completed.into()),
+                ("violations", c.violations.into()),
+                ("p99_ms", c.p99_ms.into()),
+                ("free_epochs", c.free_epochs.into()),
+                ("inference_energy_j", c.inference_energy_j.into()),
+                ("paid_displaced_epochs", c.paid_displaced_epochs.into()),
+                ("free_displaced_epochs", c.free_displaced_epochs.into()),
+            ])
+        });
+        let comparisons = self.comparisons.iter().map(|c| {
+            Json::object([
+                ("fleet_size", c.fleet_size.into()),
+                ("load", c.load.into()),
+                ("round_robin_epochs", c.round_robin_epochs.into()),
+                ("training_aware_epochs", c.training_aware_epochs.into()),
+                ("advantage", c.advantage.into()),
+                ("training_aware_slo_clean", c.training_aware_slo_clean.into()),
+            ])
+        });
+        Json::object([
+            ("deadline_ms", self.deadline_ms.into()),
+            ("training_aware_wins", self.training_aware_wins().into()),
+            ("cells", Json::array(cells)),
+            ("scaled", Json::array(scaled)),
+            ("harvest_comparisons", Json::array(comparisons)),
+        ])
     }
 }
 
@@ -597,7 +566,7 @@ mod tests {
 
     #[test]
     fn harvest_numbers_are_recorded_in_the_artifact() {
-        let json = sweep().to_json();
+        let json = sweep().to_json().render().unwrap();
         assert!(json.contains("\"training_aware_wins\":true"));
         assert!(json.contains("\"round_robin_epochs\":"));
         assert!(json.contains("\"training_aware_epochs\":"));
@@ -626,7 +595,7 @@ mod tests {
                 c.free_displaced_epochs
             );
         }
-        let json = s.to_json();
+        let json = s.to_json().render().unwrap();
         assert!(json.contains("\"scaled\":[{"));
         assert!(json.contains("\"horizon_multiple\":"));
         assert!(json.contains("\"paid_displaced_epochs\":"));
@@ -635,8 +604,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         // Two fresh runs (not the shared one) must render identically.
-        let a = run(ExperimentScale::Quick).to_json();
-        let b = run(ExperimentScale::Quick).to_json();
+        let a = run(ExperimentScale::Quick).to_json().render().unwrap();
+        let b = run(ExperimentScale::Quick).to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

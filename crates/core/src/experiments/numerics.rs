@@ -32,8 +32,9 @@
 
 use crate::accelerator::Equinox;
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::{Accumulator25, Encoding, HbfpBlock, HbfpSpec, NumericEvents, Q8, SplitMix64};
-use equinox_check::diag::{json_string, Report};
+use equinox_check::diag::Report;
 use equinox_check::numerics;
 use equinox_check::{BufferBudget, ChainVerdict, NumericsOptions};
 use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
@@ -331,62 +332,45 @@ impl NumericsSweep {
         self.cells.iter().filter(|c| !c.passes()).collect()
     }
 
-    /// The calibration as a JSON document (hand-rolled; the workspace
-    /// carries no serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"config\":{},", json_string(&self.config)));
-        out.push_str(&format!("\"random_trials\":{},", self.random_trials));
-        out.push_str(&format!("\"false_safe_count\":{},", self.false_safe_count()));
-        out.push_str(&format!("\"all_calibrated\":{},", self.all_calibrated()));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let chains: Vec<String> = c
-                .chains
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"k_span\":{},\"max_a\":{},\"max_b\":{},\"safe_depth\":{},\
-                         \"static_safe\":{},\"adversarial_saturations\":{},\
-                         \"overdepth_probed\":{},\"overdepth_saturations\":{},\
-                         \"random_trials\":{},\"random_saturations\":{},\
-                         \"false_safe\":{},\"sound\":{}}}",
-                        p.k_span,
-                        p.max_a,
-                        p.max_b,
-                        p.safe_depth,
-                        p.static_safe,
-                        p.adversarial_saturations,
-                        p.overdepth_probed,
-                        p.overdepth_saturations,
-                        p.random_trials,
-                        p.random_saturations,
-                        p.false_safe(),
-                        p.sound(),
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "{{\"model\":{},\"mode\":{},\"batch\":{},\"instructions\":{},\
-                 \"matmul_count\":{},\"min_headroom\":{},\"errors\":{},\"warnings\":{},\
-                 \"passes\":{},\"chains\":[{}]}}",
-                json_string(&c.model),
-                json_string(c.mode),
-                c.batch,
-                c.instructions,
-                c.matmul_count,
-                c.min_headroom,
-                c.errors,
-                c.warnings,
-                c.passes(),
-                chains.join(","),
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The calibration as a JSON document.
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            let chains = c.chains.iter().map(|p| {
+                Json::object([
+                    ("k_span", p.k_span.into()),
+                    ("max_a", p.max_a.into()),
+                    ("max_b", p.max_b.into()),
+                    ("safe_depth", p.safe_depth.into()),
+                    ("static_safe", p.static_safe.into()),
+                    ("adversarial_saturations", p.adversarial_saturations.into()),
+                    ("overdepth_probed", p.overdepth_probed.into()),
+                    ("overdepth_saturations", p.overdepth_saturations.into()),
+                    ("random_trials", p.random_trials.into()),
+                    ("random_saturations", p.random_saturations.into()),
+                    ("false_safe", p.false_safe().into()),
+                    ("sound", p.sound().into()),
+                ])
+            });
+            Json::object([
+                ("model", c.model.as_str().into()),
+                ("mode", c.mode.into()),
+                ("batch", c.batch.into()),
+                ("instructions", c.instructions.into()),
+                ("matmul_count", c.matmul_count.into()),
+                ("min_headroom", c.min_headroom.into()),
+                ("errors", c.errors.into()),
+                ("warnings", c.warnings.into()),
+                ("passes", c.passes().into()),
+                ("chains", Json::array(chains)),
+            ])
+        });
+        Json::object([
+            ("config", self.config.as_str().into()),
+            ("random_trials", self.random_trials.into()),
+            ("false_safe_count", self.false_safe_count().into()),
+            ("all_calibrated", self.all_calibrated().into()),
+            ("cells", Json::array(cells)),
+        ])
     }
 }
 
@@ -521,7 +505,7 @@ mod tests {
 
     #[test]
     fn artifact_records_the_gate_and_every_cell() {
-        let json = sweep().to_json();
+        let json = sweep().to_json().render().unwrap();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"all_calibrated\":true"));
         assert!(json.contains("\"false_safe_count\":0"));
@@ -533,8 +517,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         // Two fresh runs (not the shared one) must render identically.
-        let a = run(ExperimentScale::Quick).to_json();
-        let b = run(ExperimentScale::Quick).to_json();
+        let a = run(ExperimentScale::Quick).to_json().render().unwrap();
+        let b = run(ExperimentScale::Quick).to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

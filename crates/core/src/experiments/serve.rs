@@ -27,8 +27,8 @@
 
 use crate::experiments::fitted::FittedCalibration;
 use crate::experiments::ExperimentScale;
+use equinox_arith::json::Json;
 use equinox_arith::Encoding;
-use equinox_check::diag::json_string;
 use equinox_check::{analyze_serving, ServingParams};
 use equinox_fleet::{
     AdmissionSpec, ArrivalSource, AutoscalePolicy, DeviceSpec, Fleet, FleetRunOptions,
@@ -478,69 +478,56 @@ impl ServeSweep {
             && self.lints_clean()
     }
 
-    /// The sweep as a JSON document (hand-rolled; the workspace carries
-    /// no serialization dependency).
-    pub fn to_json(&self) -> String {
-        fn tier(t: &TierStats) -> String {
-            format!(
-                "{{\"offered\":{},\"shed\":{},\"completed\":{},\"misses\":{},\
-                 \"unattributed\":{},\"shed_rate\":{},\"p999_ms\":{}}}",
-                t.offered, t.shed, t.completed, t.misses, t.unattributed, t.shed_rate,
-                t.p999_ms,
-            )
+    /// The sweep as a JSON document.
+    pub fn to_json(&self) -> Json {
+        fn tier(t: &TierStats) -> Json {
+            Json::object([
+                ("offered", t.offered.into()),
+                ("shed", t.shed.into()),
+                ("completed", t.completed.into()),
+                ("misses", t.misses.into()),
+                ("unattributed", t.unattributed.into()),
+                ("shed_rate", t.shed_rate.into()),
+                ("p999_ms", t.p999_ms.into()),
+            ])
         }
-        let mut out = String::from("{");
-        out.push_str(&format!("\"deadline_ms\":{},", self.deadline_ms));
-        out.push_str(&format!("\"scaled_deadline_ms\":{},", self.scaled_deadline_ms));
-        out.push_str(&format!("\"paid_fraction\":{},", self.paid_fraction));
-        out.push_str(&format!("\"min_offered\":{},", self.min_offered));
-        out.push_str(&format!(
-            "\"lint_errors\":{},\"lint_warnings\":{},",
-            self.lint_errors, self.lint_warnings
-        ));
-        out.push_str(&format!(
-            "\"gates\":{{\"priority_protects_paid\":{},\"free_is_shed_first\":{},\
-             \"autoscale_drains_cleanly\":{},\"trace_scale_reached\":{},\
-             \"lints_clean\":{},\"passes\":{}}},",
-            self.priority_protects_paid(),
-            self.free_is_shed_first(),
-            self.autoscale_drains_cleanly(),
-            self.trace_scale_reached(),
-            self.lints_clean(),
-            self.passes(),
-        ));
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let assigned: Vec<String> =
-                c.assigned_per_device.iter().map(|v| format!("{v}")).collect();
-            out.push_str(&format!(
-                "{{\"kind\":{},\"admission\":{},\"load\":{},\"offered\":{},\
-                 \"admission_shed\":{},\"completed\":{},\"device_shed\":{},\
-                 \"final_queue\":{},\"joins\":{},\"drains\":{},\"p999_ms\":{},\
-                 \"violations\":{},\"paid\":{},\"free\":{},\
-                 \"assigned_per_device\":[{}]}}",
-                json_string(c.kind),
-                json_string(c.admission),
-                c.load,
-                c.offered,
-                c.admission_shed,
-                c.completed,
-                c.device_shed,
-                c.final_queue,
-                c.joins,
-                c.drains,
-                c.p999_ms,
-                c.violations,
-                tier(&c.paid),
-                tier(&c.free),
-                assigned.join(","),
-            ));
-        }
-        out.push_str("]}");
-        out
+        let gates = Json::object([
+            ("priority_protects_paid", self.priority_protects_paid().into()),
+            ("free_is_shed_first", self.free_is_shed_first().into()),
+            ("autoscale_drains_cleanly", self.autoscale_drains_cleanly().into()),
+            ("trace_scale_reached", self.trace_scale_reached().into()),
+            ("lints_clean", self.lints_clean().into()),
+            ("passes", self.passes().into()),
+        ]);
+        let cells = self.cells.iter().map(|c| {
+            Json::object([
+                ("kind", c.kind.into()),
+                ("admission", c.admission.into()),
+                ("load", c.load.into()),
+                ("offered", c.offered.into()),
+                ("admission_shed", c.admission_shed.into()),
+                ("completed", c.completed.into()),
+                ("device_shed", c.device_shed.into()),
+                ("final_queue", c.final_queue.into()),
+                ("joins", c.joins.into()),
+                ("drains", c.drains.into()),
+                ("p999_ms", c.p999_ms.into()),
+                ("violations", c.violations.into()),
+                ("paid", tier(&c.paid)),
+                ("free", tier(&c.free)),
+                ("assigned_per_device", c.assigned_per_device.as_slice().into()),
+            ])
+        });
+        Json::object([
+            ("deadline_ms", self.deadline_ms.into()),
+            ("scaled_deadline_ms", self.scaled_deadline_ms.into()),
+            ("paid_fraction", self.paid_fraction.into()),
+            ("min_offered", self.min_offered.into()),
+            ("lint_errors", self.lint_errors.into()),
+            ("lint_warnings", self.lint_warnings.into()),
+            ("gates", gates),
+            ("cells", Json::array(cells)),
+        ])
     }
 }
 
@@ -680,7 +667,7 @@ mod tests {
 
     #[test]
     fn artifact_records_gates_and_tiers() {
-        let json = sweep().to_json();
+        let json = sweep().to_json().render().unwrap();
         assert!(json.contains("\"passes\":true"), "{json}");
         assert!(json.contains("\"priority_protects_paid\":true"));
         assert!(json.contains("\"admission\":\"token_bucket\""));
@@ -691,8 +678,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         // Two fresh runs (not the shared one) must render identically.
-        let a = run(ExperimentScale::Quick).to_json();
-        let b = run(ExperimentScale::Quick).to_json();
+        let a = run(ExperimentScale::Quick).to_json().render().unwrap();
+        let b = run(ExperimentScale::Quick).to_json().render().unwrap();
         assert_eq!(a, b);
     }
 }

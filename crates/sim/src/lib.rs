@@ -38,7 +38,6 @@
 //! assert!(report.completed_requests > 0);
 //! ```
 
-pub mod buffers;
 pub mod config;
 pub mod cost;
 pub mod dram;
@@ -48,7 +47,6 @@ pub mod loadgen;
 pub mod report;
 pub mod slo;
 pub mod stats;
-pub mod trace;
 pub mod validate;
 
 pub use config::{

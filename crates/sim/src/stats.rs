@@ -141,8 +141,8 @@ pub struct CycleBreakdown {
     pub dummy: f64,
     /// Cycles with no work scheduled.
     pub idle: f64,
-    /// Wasted cycles: buffer port contention, dependence stalls, and
-    /// ALU-array/matrix dimension mismatches.
+    /// Wasted cycles: pipeline-fill and dependence stalls, ALU-array/
+    /// matrix dimension mismatches, and the service of corrupted batches.
     pub other: f64,
 }
 

@@ -27,20 +27,26 @@ echo "    --workspace steps above never build it)"
 cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test --manifest-path benchmark/Cargo.toml
 
+# The two tools write results/ relative to their working directory. They
+# run in target/check-results/ so the committed results/ keep their
+# Full-scale bytes.
+mkdir -p target/check-results
+
 echo "==> equinox-check sweep: inference + training lowerings across the"
 echo "    paper family; exits non-zero on any error-severity diagnostic"
-echo "    (writes results/equinox_check.json)"
-cargo run --release -p equinox-check --bin equinox-check
+echo "    (writes target/check-results/results/equinox_check.json)"
+(cd target/check-results && cargo run --release -p equinox-check --bin equinox-check)
 
 echo "==> every experiment at --quick scale: fails on any panic, on any"
 echo "    gate that does not hold (printed as <id>: <gate>) or on any id"
-echo "    over its --quick wall-clock budget (overwrites results/)"
-cargo run --release -p equinox-bench --bin regen-results -- --quick
+echo "    over its --quick wall-clock budget (writes"
+echo "    target/check-results/results/)"
+(cd target/check-results && cargo run --release -p equinox-bench --bin regen-results -- --quick)
 
 echo "==> rustdoc (warnings are errors; no external deps to document)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> wall-clock + compile-cache profile of this run"
-cat results/bench_timings.json
+cat target/check-results/results/bench_timings.json
 
 echo "OK"
