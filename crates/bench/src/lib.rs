@@ -17,8 +17,9 @@
 
 use equinox_arith::json::Json;
 use equinox_core::experiments::{
-    ablation, allreduce, bounds_calibration, diurnal, fault_sweep, fig10, fig11, fig2, fig6,
-    fig7, fig8, fig9, fitted, fleet, numerics, serve, software_sched, table1, table2, table3,
+    ablation, allreduce, bounds_calibration, checks, diurnal, fault_sweep, fig10, fig11, fig2,
+    fig6, fig7, fig8, fig9, fitted, fleet, numerics, serve, software_sched, table1, table2,
+    table3,
 };
 use equinox_core::ExperimentScale;
 use std::fmt::{Display, Write as _};
@@ -203,7 +204,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
     },
     Experiment {
         id: "checks",
-        title: "equinox-check verdicts for the drivers' configurations",
+        title: "equinox-check over the paper family and the drivers' configurations",
         quick_budget_s: 180.0,
         run: run_checks,
     },
@@ -552,30 +553,37 @@ fn run_numerics(scale: ExperimentScale) -> Artifacts {
     out
 }
 
-/// One equinox-check verdict per (driver, design, workload) the
+/// The analyzer sweep over the Table 1 family of both encodings, then
+/// one equinox-check verdict per (driver, design, workload) the
 /// experiment drivers exercise, plus each paper model's training
 /// lowering, so the static-analysis state of every published number is
-/// recorded. Gates: each verdict is free of error-severity diagnostics.
+/// recorded. Gates: each sweep report but the installation fits, and
+/// each verdict, is free of error-severity diagnostics.
 fn run_checks(_: ExperimentScale) -> Artifacts {
     use equinox_core::Equinox;
     use equinox_isa::models::ModelSpec;
     use equinox_model::LatencyConstraint;
-    let grid: [(&str, LatencyConstraint, ModelSpec, usize); 7] = [
-        ("fig7/fig8/fig10/fig11", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25(), 0),
-        ("fig9", LatencyConstraint::Micros(50), ModelSpec::lstm_2048_25(), 0),
-        ("fig9/min", LatencyConstraint::MinLatency, ModelSpec::lstm_2048_25(), 0),
-        ("table2/gru", LatencyConstraint::Micros(500), ModelSpec::gru_2816_1500(), 0),
-        ("table2/resnet", LatencyConstraint::Micros(500), ModelSpec::resnet50(), 8),
-        ("table2/mlp", LatencyConstraint::Micros(500), ModelSpec::mlp_2048x5(), 0),
-        ("diurnal/fault", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25(), 0),
+    let sweep = checks::run();
+    let mut out = Artifacts::with_log(&sweep);
+    for (gate, holds) in sweep.gates() {
+        out = out.gate(gate, holds);
+    }
+    out = out.json("equinox_check.json", sweep.to_json());
+    let grid: [(&str, LatencyConstraint, ModelSpec); 7] = [
+        ("fig7/fig8/fig10/fig11", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25()),
+        ("fig9", LatencyConstraint::Micros(50), ModelSpec::lstm_2048_25()),
+        ("fig9/min", LatencyConstraint::MinLatency, ModelSpec::lstm_2048_25()),
+        ("table2/gru", LatencyConstraint::Micros(500), ModelSpec::gru_2816_1500()),
+        ("table2/resnet", LatencyConstraint::Micros(500), ModelSpec::resnet50()),
+        ("table2/mlp", LatencyConstraint::Micros(500), ModelSpec::mlp_2048x5()),
+        ("diurnal/fault", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25()),
     ];
     // The grid rows are independent: analyze them concurrently and
     // stitch log + JSON back together in row order.
-    let mut verdicts = equinox_par::parallel_map(grid.to_vec(), |(driver, constraint, model, batch)| {
+    let mut verdicts = equinox_par::parallel_map(grid.to_vec(), |(driver, constraint, model)| {
         let eq = Equinox::build(equinox_arith::Encoding::Hbfp8, constraint)
             .expect("paper designs exist");
-        let batch = if batch == 0 { eq.dims().n } else { batch };
-        (driver.to_string(), eq.check(&model, batch))
+        (driver.to_string(), eq.check(&model, eq.serving_batch(&model)))
     });
     // The training lowerings behind every "training for free" number:
     // one full backward-pass + weight-update program per paper model on
@@ -593,7 +601,6 @@ fn run_checks(_: ExperimentScale) -> Artifacts {
         ],
         |model| (format!("training/{}", model.name()), eq.check_training(&model, 16_000_000)),
     ));
-    let mut out = Artifacts::default();
     for (driver, report) in &verdicts {
         let _ = writeln!(
             out.log,

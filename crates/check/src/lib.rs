@@ -7,7 +7,8 @@
 //! assembler) produces; this crate catches malformed inputs *before*
 //! cycles are spent simulating them, with structured diagnostics
 //! ([`Diagnostic`]) carrying stable `EQXnnnn` codes, severities, and
-//! instruction spans. Six pass families run:
+//! instruction spans. Five program pass families run over lowered
+//! programs:
 //!
 //! 1. **Dataflow** ([`dataflow`]) — precise operand-level def-use
 //!    analysis over the byte regions instructions name
@@ -19,22 +20,25 @@
 //!    training DRAM-traffic sanity;
 //! 3. **Encoding** ([`encoding`]) — encode→decode round-trip
 //!    verification of the 16-byte wire format;
-//! 4. **Configuration** ([`config`]) — scheduler starvation, degenerate
-//!    batching thresholds, and Pareto-optimality lints;
-//! 5. **Bounds** ([`bounds`]) — static `[lower, upper]` cycle and
+//! 4. **Bounds** ([`bounds`]) — static `[lower, upper]` cycle and
 //!    energy envelopes from the simulator's own cost model
 //!    (un-overlappable DMA, utilization floors, power-envelope
 //!    violations), calibrated against the cycle-accurate simulator;
-//! 6. **Numerics** ([`numerics`]) — HBFP-aware abstract interpretation
+//! 5. **Numerics** ([`numerics`]) — HBFP-aware abstract interpretation
 //!    over magnitude/exponent domains (reduction-chain saturation,
 //!    exponent-field overflow, requantization flush, stalled weight
 //!    updates), calibrated against executed fixed-point arithmetic.
 //!    Runs only for hbfp8 programs — bf16 designs accumulate in fp32
 //!    and have no shared-exponent blocks.
 //!
-//! Pass families can be selected individually ([`PassSelection`]), and
-//! the timed entry points report per-family wall-clock so drivers can
-//! record where analysis time goes.
+//! The program families can be selected individually
+//! ([`PassSelection`]), and [`analyze_program_with`] reports per-family
+//! wall-clock so drivers can record where analysis time goes.
+//!
+//! The configuration lints ([`config`], `04xx`: scheduler starvation,
+//! degenerate batching thresholds, Pareto-optimality) analyze an
+//! accelerator configuration rather than a program, so they run through
+//! [`analyze_config`] instead of a [`PassSelection`].
 //!
 //! Two further standalone passes sit outside the [`PassSelection`]
 //! machinery because they analyze scalar parameters rather than
@@ -102,8 +106,6 @@ pub enum Pass {
     Resources,
     /// Binary encoding round-trips (`03xx`).
     Encoding,
-    /// Scheduler / configuration lints (`04xx`).
-    Config,
     /// Static cycle/energy bound analysis (`06xx`).
     Bounds,
     /// HBFP numerical-safety abstract interpretation (`08xx`).
@@ -112,14 +114,8 @@ pub enum Pass {
 
 impl Pass {
     /// Every pass family, in canonical (code-range) order.
-    pub const ALL: [Pass; 6] = [
-        Pass::Dataflow,
-        Pass::Resources,
-        Pass::Encoding,
-        Pass::Config,
-        Pass::Bounds,
-        Pass::Numerics,
-    ];
+    pub const ALL: [Pass; 5] =
+        [Pass::Dataflow, Pass::Resources, Pass::Encoding, Pass::Bounds, Pass::Numerics];
 
     /// The stable lower-case name used by `--pass` and in artifacts.
     pub fn name(self) -> &'static str {
@@ -127,7 +123,6 @@ impl Pass {
             Pass::Dataflow => "dataflow",
             Pass::Resources => "resources",
             Pass::Encoding => "encoding",
-            Pass::Config => "config",
             Pass::Bounds => "bounds",
             Pass::Numerics => "numerics",
         }
@@ -139,7 +134,6 @@ impl Pass {
             Pass::Dataflow => "operand-level def-use analysis over byte regions (EQX05xx)",
             Pass::Resources => "buffer/geometry resource envelopes (EQX02xx)",
             Pass::Encoding => "binary encoding round-trip verification (EQX03xx)",
-            Pass::Config => "scheduler and configuration lints (EQX04xx)",
             Pass::Bounds => "static cycle/energy bound analysis (EQX06xx)",
             Pass::Numerics => "HBFP numerical-safety abstract interpretation (EQX08xx)",
         }
@@ -160,7 +154,7 @@ impl std::fmt::Display for Pass {
 /// A set of selected pass families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassSelection {
-    selected: [bool; 6],
+    selected: [bool; 5],
 }
 
 impl Default for PassSelection {
@@ -172,12 +166,12 @@ impl Default for PassSelection {
 impl PassSelection {
     /// Every pass family selected (the default).
     pub fn all() -> Self {
-        PassSelection { selected: [true; 6] }
+        PassSelection { selected: [true; 5] }
     }
 
     /// No pass family selected.
     pub fn none() -> Self {
-        PassSelection { selected: [false; 6] }
+        PassSelection { selected: [false; 5] }
     }
 
     /// Selects one family (builder style).
@@ -320,8 +314,9 @@ pub fn analyze_config(config: &AcceleratorConfig, space: Option<&DesignSpace>) -
     report
 }
 
-/// Lowers one training iteration of `model` and runs the program-level
-/// passes over it.
+/// Lowers one training iteration of `model` and runs every program
+/// pass over it, the bounds family only when a [`CostModel`] is
+/// supplied (see [`analyze_program_with`]).
 ///
 /// Training programs on small geometries can reach millions of
 /// instructions; when the size estimate exceeds `max_instructions`, the
@@ -333,35 +328,8 @@ pub fn analyze_training_program(
     setup: &TrainingSetup,
     budget: &BufferBudget,
     max_instructions: u64,
-) -> Report {
-    analyze_training_program_with(
-        model,
-        dims,
-        setup,
-        budget,
-        max_instructions,
-        &PassSelection::all(),
-        None,
-        &BoundsOptions::default(),
-        &NumericsOptions::default(),
-    )
-    .0
-}
-
-/// [`analyze_training_program`] with pass selection and per-family
-/// timing, mirroring [`analyze_program_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_training_program_with(
-    model: &ModelSpec,
-    dims: &ArrayDims,
-    setup: &TrainingSetup,
-    budget: &BufferBudget,
-    max_instructions: u64,
-    passes: &PassSelection,
     bounds_cost: Option<&CostModel>,
-    bounds_options: &BoundsOptions,
-    numerics_options: &NumericsOptions,
-) -> (Report, Vec<(Pass, f64)>) {
+) -> Report {
     let estimate = estimate_training_instructions(model, dims, setup);
     if estimate > max_instructions {
         let mut report = Report::new(format!("{}-training-b{}", model.name(), setup.batch));
@@ -372,7 +340,7 @@ pub fn analyze_training_program_with(
                  {max_instructions} analysis cap; skipped"
             ),
         ));
-        return (report, Vec::new());
+        return report;
     }
     let program = lower_training_cached(model, dims, setup);
     analyze_program_with(
@@ -380,11 +348,12 @@ pub fn analyze_training_program_with(
         dims,
         budget,
         setup.encoding,
-        passes,
+        &PassSelection::all(),
         bounds_cost,
-        bounds_options,
-        numerics_options,
+        &BoundsOptions::default(),
+        &NumericsOptions::default(),
     )
+    .0
 }
 
 /// Runs the training-profile sanity pass under `config`'s clock and
@@ -429,7 +398,7 @@ mod tests {
             (ModelSpec::mlp_2048x5(), 128),
         ] {
             let setup = TrainingSetup { batch, ..Default::default() };
-            let r = analyze_training_program(&model, &dims, &setup, &budget, 2_000_000);
+            let r = analyze_training_program(&model, &dims, &setup, &budget, 2_000_000, None);
             assert!(!r.has_errors(), "{}", r.render_human());
             assert!(!r.has_code(Code::ANALYSIS_SKIPPED), "{}", r.render_human());
         }
@@ -445,6 +414,7 @@ mod tests {
             &setup,
             &BufferBudget::paper_default(),
             1_000,
+            None,
         );
         assert!(r.has_code(Code::ANALYSIS_SKIPPED));
         assert!(!r.has_errors());

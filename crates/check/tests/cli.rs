@@ -103,19 +103,36 @@ fn list_passes_names_every_family() {
     let out = bin().arg("--list-passes").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for name in ["dataflow", "resources", "encoding", "config", "bounds"] {
+    for name in ["dataflow", "resources", "encoding", "bounds", "numerics"] {
         assert!(stdout.contains(name), "missing {name} in: {stdout}");
     }
 }
 
 #[test]
 fn unknown_pass_is_a_usage_error() {
-    let out = bin().arg("--pass").arg("bogus").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown pass"), "{stderr}");
+    // Configuration lints analyze a configuration, not a stream, so
+    // `config` selects nothing here and is unknown.
+    for pass in ["bogus", "config"] {
+        let out = bin().arg("--pass").arg(pass).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown pass"), "{stderr}");
+    }
     let out = bin().arg("--pass").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "a trailing --pass needs a value");
+}
+
+#[test]
+fn no_file_is_a_usage_error_that_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("equinox-check-no-file-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = bin().current_dir(&dir).output().expect("binary runs");
+    let wrote_results = dir.join("results").exists();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("regen-results checks"), "the sweep is not named in: {stderr}");
+    assert!(!wrote_results, "a usage error created results/");
 }
 
 #[test]

@@ -206,13 +206,25 @@ impl Equinox {
             &self.training_setup(model),
             &equinox_check::BufferBudget::paper_default(),
             max_instructions,
+            None,
         )
+    }
+
+    /// Batch size `model` is served at on this instance: vector-matrix
+    /// workloads (RNN/MLP) at the geometry's `n`, im2col and attention
+    /// workloads at 8 (cf. Table 2).
+    pub fn serving_batch(&self, model: &ModelSpec) -> usize {
+        if model.is_vector_matrix() {
+            self.config.dims.n
+        } else {
+            8
+        }
     }
 
     /// Training configuration for `model` on this instance: RNN/MLP
     /// minibatch 128 (the GRU's 1500-step unroll at 32), im2col
     /// workloads at 8, streamed in this design's encoding.
-    fn training_setup(&self, model: &ModelSpec) -> TrainingSetup {
+    pub fn training_setup(&self, model: &ModelSpec) -> TrainingSetup {
         let batch = match model.name() {
             "GRU" => 32,
             _ if model.is_vector_matrix() => 128,

@@ -35,7 +35,6 @@ use equinox_check::BufferBudget;
 use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::models::ModelSpec;
-use equinox_isa::training::TrainingSetup;
 use equinox_model::LatencyConstraint;
 use equinox_sim::{AcceleratorConfig, BatchingPolicy, CostModel, SchedulerPolicy, Simulation};
 
@@ -163,20 +162,10 @@ fn calibrate(eq: &Equinox, cost: &CostModel, model: &ModelSpec, training: bool, 
     let dims = eq.dims();
     let config = eq.config();
     let (program, batch) = if training {
-        // The facade's per-model training setups: RNN/MLP minibatch
-        // 128, the GRU's 1500-step unroll at 32, im2col workloads at 8.
-        let batch = match model.name() {
-            "GRU" => 32,
-            _ if model.is_vector_matrix() => 128,
-            _ => 8,
-        };
-        let setup =
-            TrainingSetup { batch, encoding: config.encoding, ..TrainingSetup::paper_default() };
-        (lower_training_cached(model, &dims, &setup), batch)
+        let setup = eq.training_setup(model);
+        (lower_training_cached(model, &dims, &setup), setup.batch)
     } else {
-        // Vector-matrix workloads serve at the full hardware batch; the
-        // im2col workloads at the paper's serving batch of 8.
-        let batch = if model.is_vector_matrix() { dims.n } else { 8 };
+        let batch = eq.serving_batch(model);
         let program = compile_inference_cached(
             model,
             &dims,

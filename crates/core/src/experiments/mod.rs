@@ -7,6 +7,7 @@
 pub mod ablation;
 pub mod allreduce;
 pub mod bounds_calibration;
+pub mod checks;
 pub mod diurnal;
 pub mod fault_sweep;
 pub mod fig10;

@@ -1,10 +1,10 @@
 //! Process-wide memoized compilation cache.
 //!
 //! The evaluation stack compiles the same lowerings over and over: the
-//! `equinox-check` CLI sweep, `Equinox::check`, `Equinox::compile`, and
-//! the `regen-results -- checks` grid all lower identical
-//! `(model, dims, batch, encoding, budget)` points — and with the
-//! parallel runtime several of them do so *concurrently*. This module
+//! analyzer sweep over the paper family, `Equinox::check`,
+//! `Equinox::compile`, and the other experiment drivers all lower
+//! identical `(model, dims, batch, encoding, budget)` points — and with
+//! the parallel runtime several of them do so *concurrently*. This module
 //! memoizes [`crate::lower::compile_inference_with`] and
 //! [`crate::training::lower_training`] behind `Arc`-shared programs so each
 //! distinct lowering is compiled once per process.

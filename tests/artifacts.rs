@@ -244,8 +244,20 @@ fn every_committed_json_artifact_renders_back_byte_for_byte() {
         .filter(|name| name.ends_with(".json"))
         .collect();
     names.sort();
-    // Eight sweep artifacts, the analyzer report and the two timing files.
-    assert!(names.len() >= 11, "expected every JSON artifact, found {names:?}");
+    // Eight sweep artifacts, the analyzer report and the regen timings.
+    let expected = [
+        "allreduce_sweep.json",
+        "bench_timings.json",
+        "bounds_calibration.json",
+        "driver_checks.json",
+        "equinox_check.json",
+        "fault_sweep.json",
+        "fitted_tables.json",
+        "fleet_sweep.json",
+        "numerics_sweep.json",
+        "serve_sweep.json",
+    ];
+    assert_eq!(names, expected, "the committed JSON artifacts changed");
     for name in &names {
         let text = std::fs::read_to_string(format!("{dir}/{name}")).expect("readable artifact");
         let text = body(&text);

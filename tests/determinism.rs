@@ -73,10 +73,17 @@ fn experiment_table_is_thread_count_invariant() {
     for (serial, parallel) in table_passes() {
         assert_invariant(serial, parallel);
         written.extend(serial.artifacts.files.iter().map(|(name, _)| name.clone()));
+        // A failing gate is reported as `<id>: <gate>`, so a repeated
+        // name would hide which of its holders failed.
+        let gates = &serial.artifacts.gates;
+        for (i, (name, _)) in gates.iter().enumerate() {
+            let id = serial.experiment.id;
+            assert!(gates[..i].iter().all(|(n, _)| n != name), "{id}: gate `{name}` repeats");
+        }
     }
-    // The table writes every committed artifact except the two timing
-    // files and the analyzer sweep's report (`equinox-check`'s own).
-    let exempt = ["bench_timings.json", "check_timings.json", "equinox_check.json"];
+    // The table writes every committed artifact except the timing file
+    // of the regen run itself.
+    let exempt = ["bench_timings.json"];
     let mut committed: Vec<String> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"))
         .expect("results/ is committed")
         .map(|entry| entry.expect("readable entry").file_name().into_string().expect("UTF-8 name"))
@@ -121,6 +128,7 @@ artifact_probes! {
     serve_sweep_json_is_thread_count_invariant => "serve_sweep.json",
     numerics_sweep_json_is_thread_count_invariant => "numerics_sweep.json",
     check_report_is_thread_count_invariant => "driver_checks.json",
+    analyzer_sweep_is_thread_count_invariant => "equinox_check.json",
 }
 
 #[test]
