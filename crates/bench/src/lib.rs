@@ -381,7 +381,7 @@ fn run_fig9(scale: ExperimentScale) -> Artifacts {
 }
 
 fn run_table2(scale: ExperimentScale) -> Artifacts {
-    let table = table2::run_extended(scale);
+    let table = table2::run(scale);
     Artifacts::with_log(&table).file("table2_workloads.txt", table.to_string())
 }
 

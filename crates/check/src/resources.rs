@@ -1,8 +1,9 @@
 //! Pass family 2: resource-envelope checks.
 //!
-//! Mirrors `equinox_isa::validate` but reports *every* violation with a
-//! stable code and span rather than failing on the first, and adds the
-//! zero-extent lint and training DRAM-traffic sanity checks.
+//! Checks programs against the MMU geometry and the instruction buffer,
+//! reporting *every* violation with a stable code and span, reports
+//! `equinox_isa::validate`'s installation verdict as a diagnostic, and
+//! adds the zero-extent lint and training DRAM-traffic sanity checks.
 
 use crate::diag::{Code, Diagnostic, Span};
 use equinox_arith::Encoding;
@@ -10,7 +11,7 @@ use equinox_isa::encode::INSTRUCTION_BYTES;
 use equinox_isa::layers::GemmMode;
 use equinox_isa::models::ModelSpec;
 use equinox_isa::training::TrainingProfile;
-use equinox_isa::validate::{validate_installation, BufferBudget};
+use equinox_isa::validate::{validate_installation, BufferBudget, ValidationError};
 use equinox_isa::{ArrayDims, Instruction, Program};
 
 /// Checks every instruction of `program` against the MMU geometry and
@@ -110,11 +111,9 @@ pub fn analyze_installation(
     match validate_installation(model, encoding, batch, budget) {
         Ok(()) => Vec::new(),
         Err(e) => {
-            let code = match e.code() {
-                "EQX0203" => Code::WEIGHTS_DONT_FIT,
-                "EQX0204" => Code::ACTIVATIONS_DONT_FIT,
-                "EQX0202" => Code::TILE_TOO_LARGE,
-                _ => Code::REGION_TOO_LARGE,
+            let code = match e {
+                ValidationError::WeightsDontFit { .. } => Code::WEIGHTS_DONT_FIT,
+                ValidationError::ActivationsDontFit { .. } => Code::ACTIVATIONS_DONT_FIT,
             };
             vec![Diagnostic::error(code, e.to_string())]
         }
@@ -205,6 +204,15 @@ mod tests {
         assert_eq!(diags[0].code, Code::REGION_TOO_LARGE);
         assert_eq!(diags[0].span, Some(Span { start: 0, end: 1000 }));
         assert!(diags[0].message.contains("3000 encoded words"), "{}", diags[0].message);
+        // With syncs every 600 instructions (1800 words) it streams.
+        let mut split = Program::new("split");
+        for i in 0..3000 {
+            split.push(Instruction::matmul(1, 1, 1, GemmMode::VectorMatrix));
+            if i % 600 == 599 {
+                split.push(Instruction::Sync);
+            }
+        }
+        assert!(analyze_program(&split, &dims(), &BufferBudget::paper_default()).is_empty());
     }
 
     #[test]

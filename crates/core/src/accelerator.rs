@@ -315,7 +315,8 @@ impl Equinox {
         } else {
             min_cycles.max(200 * timing.total_cycles)
         };
-        let arrivals = equinox_sim::fault::scenario_arrivals(scenario, rate, horizon, opts.seed)?;
+        let arrivals =
+            equinox_sim::fault::scenario_arrivals(scenario, rate, horizon, ARRIVAL_SEED)?;
         sim.run_faulted(&arrivals, horizon, scenario, slo)
     }
 
@@ -339,6 +340,10 @@ impl std::fmt::Display for Equinox {
     }
 }
 
+/// The Poisson arrival seed of every `Equinox::run*`: all runs draw the
+/// same arrival process, so no report depends on the runs before it.
+const ARRIVAL_SEED: u64 = 42;
+
 /// Options for one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -348,8 +353,6 @@ pub struct RunOptions {
     pub batch: Option<usize>,
     /// Offered load as a fraction of the saturation request rate.
     pub load: f64,
-    /// Poisson seed.
-    pub seed: u64,
     /// Co-hosted training workload, if any.
     pub train_model: Option<ModelSpec>,
     /// Scheduler override.
@@ -374,7 +377,6 @@ impl RunOptions {
             model: ModelSpec::lstm_2048_25(),
             batch: None,
             load,
-            seed: 42,
             train_model: None,
             scheduler: None,
             batching: None,

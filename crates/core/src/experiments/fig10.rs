@@ -2,7 +2,7 @@
 //! priority scheduling, with the inference-only baseline.
 
 use crate::accelerator::{Equinox, RunOptions};
-use crate::experiments::{ExperimentScale, LoadPoint, Series};
+use crate::experiments::{sweep, ExperimentScale, Series};
 use equinox_arith::Encoding;
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
@@ -22,56 +22,17 @@ pub fn run(scale: ExperimentScale) -> Fig10 {
     let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
         .expect("the 500 µs design exists");
     let timing = eq.compile(&ModelSpec::lstm_2048_25()).expect("reference workload compiles");
-    let variants: [(&str, Option<SchedulerPolicy>, bool); 3] = [
-        ("Inf", Some(SchedulerPolicy::InferenceOnly), false),
-        ("Inf+Train+Fair sched.", Some(SchedulerPolicy::Fair), true),
-        (
-            "Inf+Train+Priority sched.",
-            Some(SchedulerPolicy::Priority { queue_threshold: 2 * eq.dims().n }),
-            true,
-        ),
+    let line = |name: &str, scheduler, base: RunOptions| {
+        (name.to_string(), &eq, timing, RunOptions { scheduler: Some(scheduler), ..base })
+    };
+    let priority = SchedulerPolicy::Priority { queue_threshold: 2 * eq.dims().n };
+    let lines = vec![
+        line("Inf", SchedulerPolicy::InferenceOnly, RunOptions::inference(0.0)),
+        line("Inf+Train+Fair sched.", SchedulerPolicy::Fair, RunOptions::colocated(0.0)),
+        line("Inf+Train+Priority sched.", priority, RunOptions::colocated(0.0)),
     ];
-    // The (variant × load) grid cells are independent simulations: fan
-    // them out on the pool and regroup by variant in figure order.
-    let loads = scale.loads();
-    let mut grid = Vec::new();
-    for v in 0..variants.len() {
-        for &load in &loads {
-            grid.push((v, load));
-        }
-    }
-    let points = equinox_par::parallel_map(grid, |(v, load)| {
-        let (_, scheduler, train) = variants[v];
-        let base = if train {
-            RunOptions::colocated(load)
-        } else {
-            RunOptions::inference(load)
-        };
-        let report = eq.run_compiled(
-            &timing,
-            &RunOptions {
-                scheduler,
-                target_requests: scale.target_requests(),
-                ..base
-            },
-        ).expect("simulation run");
-        LoadPoint {
-            load,
-            inference_tops: report.inference_tops(),
-            p99_ms: report.p99_ms(),
-            training_tops: report.training_tops(),
-        }
-    });
-    let series = variants
-        .iter()
-        .enumerate()
-        .map(|(v, (name, _, _))| Series {
-            name: name.to_string(),
-            points: points[v * loads.len()..(v + 1) * loads.len()].to_vec(),
-        })
-        .collect();
     Fig10 {
-        series,
+        series: sweep(lines, scale),
         latency_target_ms: Equinox::latency_target_s(Encoding::Hbfp8) * 1e3,
     }
 }

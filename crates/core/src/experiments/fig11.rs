@@ -3,7 +3,7 @@
 //! of training throughput.
 
 use crate::accelerator::{Equinox, RunOptions};
-use crate::experiments::{ExperimentScale, LoadPoint, Series};
+use crate::experiments::{sweep, ExperimentScale, Series};
 use equinox_arith::Encoding;
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
@@ -31,49 +31,26 @@ pub fn run(scale: ExperimentScale) -> Fig11 {
     let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
         .expect("the 500 µs design exists");
     let timing = eq.compile(&ModelSpec::lstm_2048_25()).expect("reference workload compiles");
-    let sweep = |batching: BatchingPolicy, train: bool, name: String| -> Series {
-        let mut points = Vec::new();
-        for &load in &scale.loads() {
-            let base = if train {
-                RunOptions::colocated(load)
-            } else {
-                RunOptions::inference(load)
-            };
-            let report = eq.run_compiled(
-                &timing,
-                &RunOptions {
-                    batching: Some(batching),
-                    target_requests: scale.target_requests(),
-                    ..base
-                },
-            ).expect("simulation run");
-            points.push(LoadPoint {
-                load,
-                inference_tops: report.inference_tops(),
-                p99_ms: report.p99_ms(),
-                training_tops: report.training_tops(),
-            });
-        }
-        Series { name, points }
+    let line = |name: String, batching, base: RunOptions| {
+        (name, &eq, timing, RunOptions { batching: Some(batching), ..base })
     };
-    // All twelve (batching, training) sweeps are independent: fan them
-    // out on the pool as one flat list and split it back into the three
-    // panels in figure order.
-    let mut specs: Vec<(BatchingPolicy, bool, String)> = vec![
-        (BatchingPolicy::Static, false, "Static batching".into()),
-        (BatchingPolicy::Adaptive { threshold_x: 2.0 }, false, "Adaptive batching".into()),
+    // Panel (a), then (b) inference only and (c) with training, one line
+    // per threshold.
+    let mut lines = vec![
+        line("Static batching".into(), BatchingPolicy::Static, RunOptions::inference(0.0)),
+        line(
+            "Adaptive batching".into(),
+            BatchingPolicy::Adaptive { threshold_x: 2.0 },
+            RunOptions::inference(0.0),
+        ),
     ];
-    for train in [false, true] {
+    for base in [RunOptions::inference(0.0), RunOptions::colocated(0.0)] {
         for &x in &THRESHOLDS {
-            specs.push((
-                BatchingPolicy::Adaptive { threshold_x: x },
-                train,
-                format!("{x:.0}x service time"),
-            ));
+            let batching = BatchingPolicy::Adaptive { threshold_x: x };
+            lines.push(line(format!("{x:.0}x service time"), batching, base.clone()));
         }
     }
-    let mut all =
-        equinox_par::parallel_map(specs, |(batching, train, name)| sweep(batching, train, name));
+    let mut all = sweep(lines, scale);
     let panel_c = all.split_off(2 + THRESHOLDS.len());
     let panel_b = all.split_off(2);
     Fig11 {

@@ -2,7 +2,7 @@
 //! Equinox family, hbfp8 (a) and bfloat16 (b).
 
 use crate::accelerator::{Equinox, RunOptions};
-use crate::experiments::{ExperimentScale, LoadPoint, Series};
+use crate::experiments::{sweep, ExperimentScale, Series};
 use equinox_arith::Encoding;
 use equinox_isa::models::ModelSpec;
 
@@ -21,43 +21,17 @@ pub struct Fig7 {
 /// inference only (the baseline panel).
 pub fn run(encoding: Encoding, scale: ExperimentScale) -> Fig7 {
     let model = ModelSpec::lstm_2048_25();
-    // Each (configuration, load) simulation is seeded and independent;
-    // fan the grid out and reassemble per-configuration series in
-    // family order so results match the serial sweep exactly.
     let family = Equinox::family(encoding);
-    let loads = scale.loads();
-    let mut grid = Vec::new();
-    for eq in &family {
-        let timing = eq.compile(&model).expect("reference workload compiles");
-        for &load in &loads {
-            grid.push((eq.clone(), timing, load));
-        }
-    }
-    let points = equinox_par::parallel_map(grid, |(eq, timing, load)| {
-        let report = eq
-            .run_compiled(
-                &timing,
-                &RunOptions {
-                    target_requests: scale.target_requests(),
-                    ..RunOptions::inference(load)
-                },
-            )
-            .expect("simulation run");
-        LoadPoint {
-            load,
-            inference_tops: report.inference_tops(),
-            p99_ms: report.p99_ms(),
-            training_tops: 0.0,
-        }
-    });
-    let series: Vec<Series> = family
+    let lines = family
         .iter()
-        .zip(points.chunks(loads.len()))
-        .map(|(eq, pts)| Series { name: eq.config().name.clone(), points: pts.to_vec() })
+        .map(|eq| {
+            let timing = eq.compile(&model).expect("reference workload compiles");
+            (eq.config().name.clone(), eq, timing, RunOptions::inference(0.0))
+        })
         .collect();
     Fig7 {
         encoding,
-        series,
+        series: sweep(lines, scale),
         latency_target_ms: Equinox::latency_target_s(encoding) * 1e3,
     }
 }

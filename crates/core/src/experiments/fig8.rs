@@ -2,7 +2,7 @@
 //! loads, with and without training.
 
 use crate::accelerator::{Equinox, RunOptions};
-use crate::experiments::ExperimentScale;
+use crate::experiments::{simulate, ExperimentScale};
 use equinox_arith::Encoding;
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
@@ -31,31 +31,21 @@ pub fn run(scale: ExperimentScale) -> Fig8 {
     let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
         .expect("the 500 µs design exists");
     let timing = eq.compile(&ModelSpec::lstm_2048_25()).expect("reference workload compiles");
-    // The six bars are independent simulations: fan them out on the
-    // pool and collect in figure order (load-major, Inf before
-    // Inf+Train).
-    let mut cells = Vec::new();
-    for &load in &[0.05, 0.5, 0.95] {
-        for with_training in [false, true] {
-            cells.push((load, with_training));
-        }
-    }
-    let bars = equinox_par::parallel_map(cells, |(load, with_training)| {
-        let opts = RunOptions {
-            target_requests: scale.target_requests(),
-            ..if with_training {
-                RunOptions::colocated(load)
-            } else {
-                RunOptions::inference(load)
-            }
-        };
-        let report = eq.run_compiled(&timing, &opts).expect("simulation run");
-        Fig8Bar {
-            load,
-            with_training,
+    // Figure order: load-major, Inf before Inf+Train.
+    let cells: Vec<_> = [0.05, 0.5, 0.95]
+        .into_iter()
+        .flat_map(|load| [RunOptions::inference(load), RunOptions::colocated(load)])
+        .map(|base| (&eq, timing, RunOptions { target_requests: scale.target_requests(), ..base }))
+        .collect();
+    let bars = cells
+        .iter()
+        .zip(simulate(cells.clone()))
+        .map(|((_, _, opts), report)| Fig8Bar {
+            load: opts.load,
+            with_training: opts.train_model.is_some(),
             breakdown: report.breakdown.fractions(),
-        }
-    });
+        })
+        .collect();
     Fig8 { bars }
 }
 

@@ -2,7 +2,7 @@
 //! family (hbfp8).
 
 use crate::accelerator::{Equinox, RunOptions};
-use crate::experiments::{ExperimentScale, LoadPoint, Series};
+use crate::experiments::{sweep, ExperimentScale, Series};
 use equinox_arith::Encoding;
 use equinox_isa::models::ModelSpec;
 
@@ -19,56 +19,19 @@ pub struct Fig9 {
 /// Sweeps inference load with a colocated LSTM training service.
 pub fn run(scale: ExperimentScale) -> Fig9 {
     let model = ModelSpec::lstm_2048_25();
-    // Build/compile the family serially (the compile cache makes this
-    // cheap), then fan the (member × load) simulation grid out on the
-    // pool and regroup by member in family order.
-    let compiled: Vec<_> = Equinox::family(Encoding::Hbfp8)
-        .into_iter()
-        .map(|eq| {
-            let timing = eq.compile(&model).expect("reference workload compiles");
-            (eq, timing)
-        })
-        .collect();
+    let family = Equinox::family(Encoding::Hbfp8);
     let mut max_achievable: f64 = 0.0;
-    for (eq, _) in &compiled {
+    let mut lines = Vec::new();
+    for eq in &family {
         let profile = eq.training_profile(&model);
         max_achievable = max_achievable.max(
             profile.max_achievable_ops(eq.freq_hz(), eq.config().dram.bandwidth_bytes_per_s)
                 / 1e12,
         );
+        let timing = eq.compile(&model).expect("reference workload compiles");
+        lines.push((eq.config().name.clone(), eq, timing, RunOptions::colocated(0.0)));
     }
-    let loads = scale.loads();
-    let mut grid = Vec::new();
-    for i in 0..compiled.len() {
-        for &load in &loads {
-            grid.push((i, load));
-        }
-    }
-    let points = equinox_par::parallel_map(grid, |(i, load)| {
-        let (eq, timing) = &compiled[i];
-        let report = eq.run_compiled(
-            timing,
-            &RunOptions {
-                target_requests: scale.target_requests(),
-                ..RunOptions::colocated(load)
-            },
-        ).expect("simulation run");
-        LoadPoint {
-            load,
-            inference_tops: report.inference_tops(),
-            p99_ms: report.p99_ms(),
-            training_tops: report.training_tops(),
-        }
-    });
-    let series = compiled
-        .iter()
-        .enumerate()
-        .map(|(i, (eq, _))| Series {
-            name: eq.config().name.clone(),
-            points: points[i * loads.len()..(i + 1) * loads.len()].to_vec(),
-        })
-        .collect();
-    Fig9 { series, max_achievable_tops: max_achievable }
+    Fig9 { series: sweep(lines, scale), max_achievable_tops: max_achievable }
 }
 
 impl Fig9 {

@@ -4,6 +4,10 @@
 //! quick CI checks (`Quick`) and the full regeneration runs (`Full`)
 //! behind `cargo run -p equinox-bench --bin regen-results`.
 
+use crate::accelerator::{Equinox, RunOptions};
+use equinox_isa::lower::InferenceTiming;
+use equinox_sim::SimReport;
+
 pub mod ablation;
 pub mod allreduce;
 pub mod bounds_calibration;
@@ -95,6 +99,54 @@ impl Series {
             .map(|p| p.inference_tops)
             .fold(0.0, f64::max)
     }
+}
+
+/// Runs one simulation per `(design, compiled workload, options)` cell
+/// on the pool and returns the reports in cell order. Every run is
+/// seeded identically, so neither the order nor the thread count can
+/// change a report.
+pub(crate) fn simulate(cells: Vec<(&Equinox, InferenceTiming, RunOptions)>) -> Vec<SimReport> {
+    equinox_par::parallel_map(cells, |(eq, timing, opts)| {
+        eq.run_compiled(&timing, &opts).expect("simulation run")
+    })
+}
+
+/// Runs each named line at every load of `scale` with
+/// `scale.target_requests()` and returns one [`Series`] per line, in line
+/// order. A line's options fix everything but the load.
+pub(crate) fn sweep(
+    lines: Vec<(String, &Equinox, InferenceTiming, RunOptions)>,
+    scale: ExperimentScale,
+) -> Vec<Series> {
+    let loads = scale.loads();
+    let cells = lines
+        .iter()
+        .flat_map(|(_, eq, timing, opts)| {
+            loads.iter().map(|&load| {
+                let opts =
+                    RunOptions { load, target_requests: scale.target_requests(), ..opts.clone() };
+                (*eq, *timing, opts)
+            })
+        })
+        .collect();
+    let reports = simulate(cells);
+    lines
+        .into_iter()
+        .zip(reports.chunks(loads.len()))
+        .map(|((name, ..), reports)| Series {
+            name,
+            points: loads
+                .iter()
+                .zip(reports)
+                .map(|(&load, r)| LoadPoint {
+                    load,
+                    inference_tops: r.inference_tops(),
+                    p99_ms: r.p99_ms(),
+                    training_tops: r.training_tops(),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

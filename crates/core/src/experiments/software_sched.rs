@@ -6,7 +6,7 @@
 //! disable training altogether.
 
 use crate::accelerator::{Equinox, RunOptions};
-use crate::experiments::{ExperimentScale, LoadPoint, Series};
+use crate::experiments::{sweep, ExperimentScale, Series};
 use equinox_arith::Encoding;
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
@@ -46,55 +46,36 @@ pub fn run(scale: ExperimentScale) -> SoftwareSched {
     let gru_block_cycles = eq
         .training_profile(&ModelSpec::gru_2816_1500())
         .iteration_mmu_cycles;
-    let sweep = |name: &str, scheduler: SchedulerPolicy, train: Option<ModelSpec>| -> Series {
+    let line = |name: &str, scheduler, train_model| {
         // Cover many training blocks so requests queued behind them
         // actually complete and show up in the tail.
-        let min_horizon = match scheduler {
+        let min_horizon_cycles = match scheduler {
             SchedulerPolicy::Software { block_cycles } => 20 * block_cycles,
             _ => 0,
         };
-        let mut points = Vec::new();
-        for &load in &scale.loads() {
-            let report = eq.run_compiled(
-                &timing,
-                &RunOptions {
-                    scheduler: Some(scheduler),
-                    train_model: train.clone(),
-                    target_requests: scale.target_requests(),
-                    min_horizon_cycles: min_horizon,
-                    ..RunOptions::inference(load)
-                },
-            ).expect("simulation run");
-            points.push(LoadPoint {
-                load,
-                inference_tops: report.inference_tops(),
-                p99_ms: report.p99_ms(),
-                training_tops: report.training_tops(),
-            });
-        }
-        Series { name: name.to_string(), points }
+        let opts = RunOptions {
+            scheduler: Some(scheduler),
+            train_model,
+            min_horizon_cycles,
+            ..RunOptions::inference(0.0)
+        };
+        (name.to_string(), &eq, timing, opts)
     };
+    let priority = SchedulerPolicy::Priority { queue_threshold: 2 * eq.dims().n };
+    let gru_blocks = SchedulerPolicy::Software { block_cycles: gru_block_cycles };
+    let lines = vec![
+        line("hardware priority", priority, Some(model.clone())),
+        line("software (LSTM blocks)", SchedulerPolicy::Software { block_cycles }, Some(model)),
+        line("software (GRU blocks)", gru_blocks, Some(ModelSpec::gru_2816_1500())),
+        line("software (training disabled)", SchedulerPolicy::InferenceOnly, None),
+    ];
+    let [hardware, software, software_gru, software_disabled]: [Series; 4] =
+        sweep(lines, scale).try_into().expect("one series per line");
     SoftwareSched {
-        hardware: sweep(
-            "hardware priority",
-            SchedulerPolicy::Priority { queue_threshold: 2 * eq.dims().n },
-            Some(ModelSpec::lstm_2048_25()),
-        ),
-        software: sweep(
-            "software (LSTM blocks)",
-            SchedulerPolicy::Software { block_cycles },
-            Some(ModelSpec::lstm_2048_25()),
-        ),
-        software_gru: sweep(
-            "software (GRU blocks)",
-            SchedulerPolicy::Software { block_cycles: gru_block_cycles },
-            Some(ModelSpec::gru_2816_1500()),
-        ),
-        software_disabled: sweep(
-            "software (training disabled)",
-            SchedulerPolicy::InferenceOnly,
-            None,
-        ),
+        hardware,
+        software,
+        software_gru,
+        software_disabled,
         latency_target_ms: Equinox::latency_target_s(Encoding::Hbfp8) * 1e3,
         block_cycles,
         gru_block_cycles,

@@ -531,14 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn training_program_validates_on_paper_geometry() {
-        let d = dims_500us();
-        let p = lower_training(&ModelSpec::lstm_2048_25(), &d, &TrainingSetup::paper_default());
-        crate::validate::validate_program(&p, &d, &BufferBudget::paper_default())
-            .expect("training lowering must respect the instruction buffer");
-    }
-
-    #[test]
     fn training_operands_stay_in_buffer_budgets() {
         let budget = BufferBudget::paper_default();
         let p = lower_training(

@@ -1,15 +1,14 @@
-//! Static validation of programs against the accelerator's resources.
+//! Static validation of service installation against the accelerator's
+//! resources.
 //!
 //! Service installation (§3.1) loads a model's weights and instructions
 //! into on-chip buffers; installation must fail cleanly when a service
 //! does not fit. This module checks a workload against the §5 SRAM
 //! split (20 MB activation / 50 MB weight / 32 KB instruction / 5 MB
-//! SIMD registers) and the geometry's invariants.
+//! SIMD registers). Compiled programs are checked against the geometry
+//! and the instruction buffer by `equinox_check::resources`.
 
-use crate::encode::INSTRUCTION_BYTES;
 use crate::models::ModelSpec;
-use crate::program::Program;
-use crate::ArrayDims;
 use equinox_arith::Encoding;
 
 /// The on-chip capacity limits a service installs against.
@@ -57,20 +56,6 @@ pub enum ValidationError {
         /// Available bytes.
         available: u64,
     },
-    /// A tile instruction exceeds the MMU geometry.
-    TileTooLarge {
-        /// Instruction index in the program.
-        index: usize,
-    },
-    /// A program region between syncs would overflow the instruction
-    /// buffer (regions are the streaming granularity). Counted in
-    /// 16-byte encoded words: a tile multiply occupies three.
-    RegionTooLarge {
-        /// Encoded words in the offending region.
-        words: usize,
-        /// Instruction-buffer capacity in words.
-        capacity: usize,
-    },
 }
 
 impl ValidationError {
@@ -81,8 +66,6 @@ impl ValidationError {
         match self {
             ValidationError::WeightsDontFit { .. } => "EQX0203",
             ValidationError::ActivationsDontFit { .. } => "EQX0204",
-            ValidationError::TileTooLarge { .. } => "EQX0202",
-            ValidationError::RegionTooLarge { .. } => "EQX0201",
         }
     }
 }
@@ -97,13 +80,6 @@ impl std::fmt::Display for ValidationError {
             ValidationError::ActivationsDontFit { required, available } => write!(
                 f,
                 "batch activations need {required} bytes but the activation buffer holds {available}"
-            ),
-            ValidationError::TileTooLarge { index } => {
-                write!(f, "instruction {index} addresses a tile larger than the MMU geometry")
-            }
-            ValidationError::RegionTooLarge { words, capacity } => write!(
-                f,
-                "a dependence region holds {words} encoded words but the buffer streams {capacity}"
             ),
         }
     }
@@ -150,54 +126,10 @@ pub fn validate_installation(
     Ok(())
 }
 
-/// Checks a compiled program against the geometry and buffer limits.
-///
-/// # Errors
-///
-/// The first malformed instruction or oversized dependence region.
-pub fn validate_program(
-    program: &Program,
-    dims: &ArrayDims,
-    budget: &BufferBudget,
-) -> Result<(), ValidationError> {
-    let capacity = (budget.instruction_bytes as usize) / INSTRUCTION_BYTES;
-    let mut region = 0usize;
-    for (index, instr) in program.instructions().iter().enumerate() {
-        match instr {
-            crate::Instruction::MatMulTile { k_span, out_span, mode, .. } => {
-                let max_out = match mode {
-                    crate::layers::GemmMode::VectorMatrix => dims.tile_out(),
-                    crate::layers::GemmMode::WeightBroadcast => dims.n,
-                };
-                if *k_span > dims.tile_k() || *out_span > max_out {
-                    return Err(ValidationError::TileTooLarge { index });
-                }
-                region += instr.encoded_words();
-            }
-            crate::Instruction::Sync => {
-                if region > capacity {
-                    return Err(ValidationError::RegionTooLarge { words: region, capacity });
-                }
-                region = 0;
-            }
-            _ => region += instr.encoded_words(),
-        }
-    }
-    if region > capacity {
-        return Err(ValidationError::RegionTooLarge { words: region, capacity });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::GemmStep;
-    use crate::lower::compile_inference;
-
-    fn dims() -> ArrayDims {
-        ArrayDims { n: 186, w: 3, m: 3 }
-    }
 
     #[test]
     fn paper_workloads_install() {
@@ -249,62 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn compiler_output_validates() {
-        let d = dims();
-        for model in [ModelSpec::lstm_2048_25(), ModelSpec::resnet50()] {
-            let batch = if model.is_vector_matrix() { d.n } else { 8 };
-            let p = compile_inference(&model, &d, batch);
-            validate_program(&p, &d, &BufferBudget::paper_default())
-                .unwrap_or_else(|e| panic!("{} program must validate: {e}", model.name()));
-        }
-    }
-
-    #[test]
     fn error_codes_are_stable() {
         let weights = ValidationError::WeightsDontFit { required: 2, available: 1 };
         let acts = ValidationError::ActivationsDontFit { required: 2, available: 1 };
-        let tile = ValidationError::TileTooLarge { index: 0 };
-        let region = ValidationError::RegionTooLarge { words: 2, capacity: 1 };
         assert_eq!(weights.code(), "EQX0203");
         assert_eq!(acts.code(), "EQX0204");
-        assert_eq!(tile.code(), "EQX0202");
-        assert_eq!(region.code(), "EQX0201");
-    }
-
-    #[test]
-    fn oversized_tile_rejected() {
-        let mut p = Program::new("bad");
-        p.push(crate::Instruction::matmul(
-            1,
-            dims().tile_k() + 1,
-            1,
-            crate::layers::GemmMode::VectorMatrix,
-        ));
-        let err = validate_program(&p, &dims(), &BufferBudget::default()).unwrap_err();
-        assert_eq!(err, ValidationError::TileTooLarge { index: 0 });
-    }
-
-    #[test]
-    fn oversized_region_rejected() {
-        let mut p = Program::new("long");
-        for _ in 0..1000 {
-            p.push(crate::Instruction::matmul(1, 1, 1, crate::layers::GemmMode::VectorMatrix));
-        }
-        // 32 KB / 16 B = 2048 words per region; 1000 three-word tile
-        // multiplies overflow it.
-        let err = validate_program(&p, &dims(), &BufferBudget::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            ValidationError::RegionTooLarge { words: 3000, capacity: 2048 }
-        ));
-        // With syncs every 600 instructions (1800 words) it streams.
-        let mut ok = Program::new("split");
-        for i in 0..3000 {
-            ok.push(crate::Instruction::matmul(1, 1, 1, crate::layers::GemmMode::VectorMatrix));
-            if i % 600 == 599 {
-                ok.push(crate::Instruction::Sync);
-            }
-        }
-        assert!(validate_program(&ok, &dims(), &BufferBudget::default()).is_ok());
     }
 }

@@ -19,7 +19,7 @@ echo "==> build (release)"
 cargo build --workspace --release
 
 echo "==> tests (incl. tests/determinism.rs: every experiment at 1 and"
-echo "    at 4 threads, compared byte for byte)"
+echo "    at 4 threads, compared byte for byte, every gate holding)"
 cargo test --workspace --quiet
 
 echo "==> benchmark package: clippy and tests (its own workspace, so the"

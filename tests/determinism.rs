@@ -5,10 +5,11 @@
 //! [`equinox_bench::run`] at `EQUINOX_THREADS`-equivalent 1 (forced
 //! serial) and 4 (work-stealing engaged) via
 //! [`equinox_par::set_thread_override`], and every entry's log,
-//! `results/` files and gate verdicts must match. The container running
-//! CI may only have one core — that's fine: with 4 workers on one core
-//! the OS interleaves them arbitrarily, which is exactly the schedule
-//! nondeterminism the contract must be immune to.
+//! `results/` files and gate verdicts must match, with every gate
+//! holding. The container running CI may only have one core — that's
+//! fine: with 4 workers on one core the OS interleaves them
+//! arbitrarily, which is exactly the schedule nondeterminism the
+//! contract must be immune to.
 
 use equinox_bench::{Outcome, EXPERIMENTS};
 use equinox_core::experiments::fitted;
@@ -70,17 +71,23 @@ fn assert_invariant(serial: &Outcome, parallel: &Outcome) {
 #[test]
 fn experiment_table_is_thread_count_invariant() {
     let mut written = Vec::new();
+    let mut failing = Vec::new();
     for (serial, parallel) in table_passes() {
         assert_invariant(serial, parallel);
         written.extend(serial.artifacts.files.iter().map(|(name, _)| name.clone()));
         // A failing gate is reported as `<id>: <gate>`, so a repeated
         // name would hide which of its holders failed.
+        let id = serial.experiment.id;
         let gates = &serial.artifacts.gates;
-        for (i, (name, _)) in gates.iter().enumerate() {
-            let id = serial.experiment.id;
+        for (i, (name, holds)) in gates.iter().enumerate() {
             assert!(gates[..i].iter().all(|(n, _)| n != name), "{id}: gate `{name}` repeats");
+            if !holds {
+                failing.push(format!("{id}: {name}"));
+            }
         }
     }
+    // Every gate holds, so `cargo test` fails where `regen-results` would.
+    assert!(failing.is_empty(), "gates that do not hold:\n{}", failing.join("\n"));
     // The table writes every committed artifact except the timing file
     // of the regen run itself.
     let exempt = ["bench_timings.json"];

@@ -1,13 +1,13 @@
 //! Integration tests of the ISA pipeline: every evaluation workload
-//! compiles, validates against the installation budgets, encodes to the
-//! wire format and decodes back bit-identically, on every configuration
-//! the design-space exploration actually selects.
+//! compiles, passes the resource analyzer, installs within the buffer
+//! budgets, encodes to the wire format and decodes back bit-identically,
+//! on every configuration the design-space exploration actually selects.
 
 use equinox::core::Equinox;
 use equinox::isa::encode::{decode, encode};
 use equinox::isa::lower::compile_inference;
 use equinox::isa::models::ModelSpec;
-use equinox::isa::validate::{validate_installation, validate_program, BufferBudget};
+use equinox::isa::validate::{validate_installation, BufferBudget};
 use equinox_arith::Encoding;
 
 fn workloads() -> Vec<(ModelSpec, usize)> {
@@ -35,10 +35,10 @@ fn every_selected_design_runs_every_workload() {
                 model.name(),
                 eq.config().name
             );
-            // The compiled program respects the geometry and buffers.
-            validate_program(&program, &dims, &budget).unwrap_or_else(|e| {
-                panic!("{} on {}: {e}", model.name(), eq.config().name)
-            });
+            // The compiled program respects the geometry and buffers:
+            // the resource pass finds nothing, not even a warning.
+            let diags = equinox::check::resources::analyze_program(&program, &dims, &budget);
+            assert!(diags.is_empty(), "{} on {}: {diags:?}", model.name(), eq.config().name);
             // The service installs (weights + activations fit).
             validate_installation(&model, Encoding::Hbfp8, batch, &budget).unwrap_or_else(
                 |e| panic!("{} (batch {batch}): {e}", model.name()),
