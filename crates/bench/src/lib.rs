@@ -490,9 +490,9 @@ fn run_allreduce(scale: ExperimentScale) -> Artifacts {
 
 /// Gates: under 120 % offered load (clean and faulted) the priority
 /// policy holds the paid tier's p999 inside the deadline while
-/// admit-all violates it, sheds free traffic first, autoscales without
-/// losing in-flight requests, reaches trace scale, and keeps the
-/// EQX07xx serving lints clean.
+/// admit-all violates it, sheds free traffic first, autoscales (joins
+/// and drains), loses no request in any cell, reaches trace scale, and
+/// keeps the EQX07xx serving lints clean.
 fn run_serve(scale: ExperimentScale) -> Artifacts {
     let sweep = serve::run(scale);
     Artifacts::with_log(&sweep)
@@ -500,6 +500,7 @@ fn run_serve(scale: ExperimentScale) -> Artifacts {
         .gate("priority_protects_paid", sweep.priority_protects_paid())
         .gate("free_is_shed_first", sweep.free_is_shed_first())
         .gate("autoscale_drains_cleanly", sweep.autoscale_drains_cleanly())
+        .gate("requests_conserved", sweep.requests_conserved())
         .gate("trace_scale_reached", sweep.trace_scale_reached())
         .gate("lints_clean", sweep.lints_clean())
 }

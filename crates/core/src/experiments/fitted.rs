@@ -1,7 +1,7 @@
 //! Extension: offline fitting + calibration gate of the fitted
 //! distributional fleet surrogate.
 //!
-//! The fleet layer's third fidelity tier
+//! The fleet layer's surrogate tier
 //! ([`equinox_fleet::Fidelity::Fitted`]) replaces the per-batch
 //! discrete-event simulation with inverse-CDF draws from per-(model,
 //! batch, contention-bucket) quantile tables. This driver *builds*

@@ -14,9 +14,10 @@
 //! join on the crowd and drain on the trough without losing a single
 //! in-flight request.
 //!
-//! Devices are evaluated by the static-bounds surrogate (exact bounds,
-//! so service times match the engine), which attributes every request's
-//! fate to its tier; the full day at `Full` scale offers over a million
+//! Devices are evaluated by the surrogate walk over a one-point
+//! [`FittedTable::fixed`] table at the nominal service time (so service
+//! times match the engine), which attributes every request's fate to
+//! its tier; the full day at `Full` scale offers over a million
 //! requests per overload cell while the sweep stays minutes-cheap. The
 //! gate the CI smoke holds: at 120 % offered load (with and without the
 //! fault) the priority policy keeps the paid tier's p999 inside the
@@ -31,14 +32,15 @@ use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::{analyze_serving, ServingParams};
 use equinox_fleet::{
-    AdmissionSpec, ArrivalSource, AutoscalePolicy, DeviceSpec, Fleet, FleetRunOptions,
-    RoutingPolicy, ScalingKind,
+    AdmissionSpec, ArrivalSource, AutoscalePolicy, DeviceSpec, FittedTable, Fleet,
+    FleetRunOptions, RoutingPolicy, ScalingKind,
 };
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::training::TrainingProfile;
 use equinox_isa::ArrayDims;
 use equinox_sim::loadgen::{trace_mean_load, DiurnalProfile, FlashCrowd};
 use equinox_sim::{AcceleratorConfig, FaultScenario, RequestClass, SloSpec};
+use std::sync::Arc;
 
 /// Devices in the serving fleet (the second half co-hosts training).
 pub const FLEET_SIZE: usize = 8;
@@ -138,9 +140,9 @@ pub struct ServeSweep {
 }
 
 /// The synthetic serving device: 16-request batches served in 16 µs at
-/// 1 GHz (saturation 1 M req/s), evaluated by the static-bounds
-/// surrogate with exact bounds so service times match the engine. The
-/// all-reduce sweep builds its fleet from it too.
+/// 1 GHz (saturation 1 M req/s), evaluated by the surrogate walk over a
+/// one-point table at exactly that service time, so service times match
+/// the engine. The all-reduce sweep builds its fleet from it too.
 pub(crate) fn serve_device(i: usize) -> DeviceSpec {
     let dims = ArrayDims { n: 16, w: 4, m: 4 };
     let config = AcceleratorConfig::new(format!("serve[{i}]"), dims, 1e9, Encoding::Hbfp8);
@@ -166,7 +168,8 @@ pub(crate) fn serve_device(i: usize) -> DeviceSpec {
     } else {
         spec
     };
-    spec.with_static_bounds(16_000, 16_000)
+    let table = FittedTable::fixed("serve", 16, 16_000).expect("a valid one-point table");
+    spec.with_fitted(Arc::new(table))
 }
 
 /// The trace day: a diurnal profile averaging 30 % load with a midday
@@ -446,17 +449,20 @@ impl ServeSweep {
         })
     }
 
-    /// The autoscaling day both grew and shrank the fleet, and lost
-    /// nothing: every offered request is admission-shed, completed,
-    /// device-shed, or still queued at the horizon.
+    /// The autoscaling day both grew and shrank the fleet (that it lost
+    /// nothing is [`ServeSweep::requests_conserved`]).
     pub fn autoscale_drains_cleanly(&self) -> bool {
-        self.cells.iter().filter(|c| c.kind == "autoscale").all(|c| {
-            c.joins >= 1
-                && c.drains >= 1
-                && c.admission_shed + c.completed as usize + c.device_shed as usize
-                    + c.final_queue
-                    == c.offered
-        }) && self.cells.iter().any(|c| c.kind == "autoscale")
+        self.cells.iter().filter(|c| c.kind == "autoscale").all(|c| c.joins >= 1 && c.drains >= 1)
+            && self.cells.iter().any(|c| c.kind == "autoscale")
+    }
+
+    /// Every cell lost nothing: each offered request is admission-shed,
+    /// completed, device-shed, or still unfinished at the horizon.
+    pub fn requests_conserved(&self) -> bool {
+        self.cells.iter().all(|c| {
+            c.admission_shed + c.completed as usize + c.device_shed as usize + c.final_queue
+                == c.offered
+        })
     }
 
     /// The sweep reached trace scale: the heaviest cell offered at
@@ -475,6 +481,7 @@ impl ServeSweep {
         self.priority_protects_paid()
             && self.free_is_shed_first()
             && self.autoscale_drains_cleanly()
+            && self.requests_conserved()
             && self.trace_scale_reached()
             && self.lints_clean()
     }
@@ -496,6 +503,7 @@ impl ServeSweep {
             ("priority_protects_paid", self.priority_protects_paid().into()),
             ("free_is_shed_first", self.free_is_shed_first().into()),
             ("autoscale_drains_cleanly", self.autoscale_drains_cleanly().into()),
+            ("requests_conserved", self.requests_conserved().into()),
             ("trace_scale_reached", self.trace_scale_reached().into()),
             ("lints_clean", self.lints_clean().into()),
             ("passes", self.passes().into()),
@@ -566,10 +574,12 @@ impl std::fmt::Display for ServeSweep {
         writeln!(
             f,
             "  gates: priority_protects_paid={} free_is_shed_first={} \
-             autoscale_drains_cleanly={} trace_scale_reached={} lints_clean={}",
+             autoscale_drains_cleanly={} requests_conserved={} trace_scale_reached={} \
+             lints_clean={}",
             self.priority_protects_paid(),
             self.free_is_shed_first(),
             self.autoscale_drains_cleanly(),
+            self.requests_conserved(),
             self.trace_scale_reached(),
             self.lints_clean(),
         )
@@ -623,17 +633,15 @@ mod tests {
                 c.kind,
                 c.admission
             );
-            if c.kind != "fault" {
-                // All-surrogate cells attribute every admitted request:
-                // completed, device-shed, or queued at the horizon.
-                assert_eq!(
-                    c.completed as usize + c.device_shed as usize + c.final_queue,
-                    assigned,
-                    "{} {}",
-                    c.kind,
-                    c.admission
-                );
-            }
+            // Every admitted request is completed, device-shed, or
+            // unfinished at the horizon.
+            assert_eq!(
+                c.completed as usize + c.device_shed as usize + c.final_queue,
+                assigned,
+                "{} {}",
+                c.kind,
+                c.admission
+            );
             // Tier ledgers partition the offered stream.
             assert_eq!(c.paid.offered + c.free.offered, c.offered);
             for t in [&c.paid, &c.free] {
@@ -656,6 +664,7 @@ mod tests {
     fn autoscale_joins_and_drains_without_loss() {
         let s = sweep();
         assert!(s.autoscale_drains_cleanly(), "{s}");
+        assert!(s.requests_conserved(), "{s}");
     }
 
     #[test]
@@ -671,6 +680,7 @@ mod tests {
         let json = sweep().to_json().render().unwrap();
         assert!(json.contains("\"passes\":true"), "{json}");
         assert!(json.contains("\"priority_protects_paid\":true"));
+        assert!(json.contains("\"requests_conserved\":true"));
         assert!(json.contains("\"admission\":\"token_bucket\""));
         assert!(json.contains("\"kind\":\"autoscale\""));
         assert!(json.contains("\"paid\":{\"offered\":"));

@@ -355,14 +355,15 @@ impl AdmissionPolicy for Priority {
 /// harvesting devices by ascending backlog (ties break to the lower
 /// index — fully deterministic).
 fn spill_order(ctx: &AdmissionContext<'_>) -> impl Iterator<Item = usize> {
-    let mut rest: Vec<usize> =
-        ctx.active.iter().copied().filter(|&d| d != ctx.candidate).collect();
-    rest.sort_by(|&a, &b| {
-        (ctx.devices[a].harvests(), ctx.backlog_s[a], a)
-            .partial_cmp(&(ctx.devices[b].harvests(), ctx.backlog_s[b], b))
-            .expect("backlogs are finite")
-    });
-    std::iter::once(ctx.candidate).chain(rest)
+    // Each device's sort key is built once, not once per comparison.
+    let mut rest: Vec<(bool, f64, usize)> = ctx
+        .active
+        .iter()
+        .filter(|&&d| d != ctx.candidate)
+        .map(|&d| (ctx.devices[d].harvests(), ctx.backlog_s[d], d))
+        .collect();
+    rest.sort_by(|a, b| a.partial_cmp(b).expect("backlogs are finite"));
+    std::iter::once(ctx.candidate).chain(rest.into_iter().map(|(_, _, d)| d))
 }
 
 #[cfg(test)]

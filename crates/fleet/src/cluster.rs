@@ -130,60 +130,41 @@ impl Fleet {
                  diurnal source instead)",
             ));
         }
-        // Surrogate devices (static-bounds or fitted): the envelope
-        // must be a valid interval around the served program, and
-        // neither surrogate models faults, software scheduling, or
+        // Surrogate devices: the table must fit the served program, and
+        // the walk models neither faults, software scheduling, nor
         // degradation beyond load shedding — reject combinations whose
         // answer it could not stand behind.
         for d in &devices {
-            let tier = match &d.fidelity {
-                Fidelity::CycleAccurate => continue,
-                Fidelity::StaticBounds { lower_cycles, upper_cycles } => {
-                    if *lower_cycles == 0 || lower_cycles > upper_cycles {
-                        return Err(EquinoxError::invalid_argument(
-                            "Fleet::new",
-                            "static-bounds fidelity needs 0 < lower_cycles ≤ upper_cycles",
-                        ));
-                    }
-                    "static-bounds"
-                }
-                Fidelity::Fitted(table) => {
-                    if table.batch != d.timing.batch {
-                        return Err(EquinoxError::invalid_argument(
-                            "Fleet::new",
-                            format!(
-                                "fitted table '{}' was fitted at batch {} but device \
-                                 '{}' serves batch {}",
-                                table.model, table.batch, d.config.name, d.timing.batch
-                            ),
-                        ));
-                    }
-                    if !(table.lower_cycles..=table.upper_cycles)
-                        .contains(&d.timing.total_cycles)
-                    {
-                        return Err(EquinoxError::invalid_argument(
-                            "Fleet::new",
-                            format!(
-                                "device '{}' nominal service time {} cycles lies outside \
-                                 fitted table '{}' envelope [{}, {}]",
-                                d.config.name,
-                                d.timing.total_cycles,
-                                table.model,
-                                table.lower_cycles,
-                                table.upper_cycles
-                            ),
-                        ));
-                    }
-                    "fitted"
-                }
-            };
+            let Fidelity::Fitted(table) = &d.fidelity else { continue };
+            if table.batch != d.timing.batch {
+                return Err(EquinoxError::invalid_argument(
+                    "Fleet::new",
+                    format!(
+                        "fitted table '{}' was fitted at batch {} but device \
+                         '{}' serves batch {}",
+                        table.model, table.batch, d.config.name, d.timing.batch
+                    ),
+                ));
+            }
+            if !(table.lower_cycles..=table.upper_cycles).contains(&d.timing.total_cycles) {
+                return Err(EquinoxError::invalid_argument(
+                    "Fleet::new",
+                    format!(
+                        "device '{}' nominal service time {} cycles lies outside \
+                         fitted table '{}' envelope [{}, {}]",
+                        d.config.name,
+                        d.timing.total_cycles,
+                        table.model,
+                        table.lower_cycles,
+                        table.upper_cycles
+                    ),
+                ));
+            }
             if !d.scenario.is_fault_free() {
                 return Err(EquinoxError::fault_model(
                     d.scenario.name.clone(),
-                    format!(
-                        "the {tier} surrogate cannot model injected faults; use \
-                         cycle-accurate fidelity for faulted devices"
-                    ),
+                    "the surrogate cannot model injected faults; use \
+                     cycle-accurate fidelity for faulted devices",
                 ));
             }
             let deg = &d.config.degradation;
@@ -193,11 +174,9 @@ impl Fleet {
             if matches!(d.config.scheduler, SchedulerPolicy::Software { .. }) || !shed_only {
                 return Err(EquinoxError::invalid_argument(
                     "Fleet::new",
-                    format!(
-                        "the {tier} surrogate models only the hardware schedulers \
-                         and, of the degradation levers, only load shedding; use \
-                         cycle-accurate fidelity"
-                    ),
+                    "the surrogate models only the hardware schedulers and, of \
+                     the degradation levers, only load shedding; use \
+                     cycle-accurate fidelity",
                 ));
             }
         }
@@ -351,7 +330,6 @@ impl Fleet {
                 } else {
                     (opts.horizon_cycles as f64 * scale).ceil() as u64
                 };
-                let displacement = harvest_displacement(spec);
                 match &spec.fidelity {
                     Fidelity::CycleAccurate => {
                         let report = spec.simulation()?.run_faulted(
@@ -363,27 +341,11 @@ impl Fleet {
                         let ledgers = attributed_ledgers(None, &classes, deadline_s, None);
                         Ok((report, ledgers, 0.0))
                     }
-                    Fidelity::StaticBounds { upper_cycles, .. } => {
-                        let run = surrogate::run_static_bounds_traced(
-                            spec,
-                            *upper_cycles,
-                            &device_arrivals,
-                            horizon,
-                            opts.slo,
-                        );
-                        let ledgers = attributed_ledgers(
-                            Some(&run.outcomes),
-                            &classes,
-                            deadline_s,
-                            displacement,
-                        );
-                        Ok((run.report, ledgers, run.energy_j))
-                    }
                     Fidelity::Fitted(table) => {
                         // Stream `2 + i` is free for the per-batch
                         // draws: fitted devices are fault-free, so no
                         // burst traffic ever uses it (see crate docs).
-                        let run = surrogate::run_fitted_traced(
+                        let run = surrogate::run(
                             spec,
                             table,
                             &device_arrivals,
@@ -395,7 +357,7 @@ impl Fleet {
                             Some(&run.outcomes),
                             &classes,
                             deadline_s,
-                            displacement,
+                            harvest_displacement(spec),
                         );
                         Ok((run.report, ledgers, run.energy_j))
                     }
@@ -471,13 +433,10 @@ type DeviceResult = (SimReport, [ClassLedger; 2], f64);
 
 /// The harvest-displacement price of one MMU busy cycle on `spec`:
 /// `(harvest rate, cycles per epoch)`, or `None` when the device
-/// cannot harvest (no training service, or an inference-only
-/// scheduler) — then no traffic displaces anything.
+/// does not harvest ([`DeviceSpec::harvests`]) — then no traffic
+/// displaces anything.
 fn harvest_displacement(spec: &DeviceSpec) -> Option<(f64, f64)> {
-    let profile = spec.training.as_ref()?;
-    if matches!(spec.config.scheduler, SchedulerPolicy::InferenceOnly) {
-        return None;
-    }
+    let profile = spec.training.as_ref().filter(|_| spec.harvests())?;
     Some((surrogate::idle_harvest_rate(spec), crate::report::epoch_cycles(profile)))
 }
 
@@ -642,16 +601,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn static_bounds_devices_compose_with_cycle_accurate_ones() {
-        // Device 1 runs at surrogate fidelity with exact bounds
-        // (lower = upper = the nominal service time): the fleet must
-        // run, conserve requests, and give the surrogate device
-        // latencies in the same range as its cycle-accurate twin.
-        let exact = test_device("d1", 1e9, false).timing.total_cycles;
-        let devices = vec![
-            test_device("d0", 1e9, false),
-            test_device("d1", 1e9, false).with_static_bounds(exact, exact),
-        ];
+    fn fixed_table_devices_compose_with_cycle_accurate_ones() {
+        // Device 1 runs the surrogate walk over a one-point table at the
+        // nominal service time: the fleet must run, conserve requests,
+        // and give the surrogate device latencies in the same range as
+        // its cycle-accurate twin.
+        let devices = vec![test_device("d0", 1e9, false), surrogate_device("d1", false)];
         let fleet = Fleet::new(devices).unwrap();
         let fr = fleet.run(&opts(RoutingPolicy::RoundRobin, 0.5, 400)).unwrap();
         let assigned: usize = fr.devices.iter().map(|d| d.assigned_requests).sum();
@@ -668,24 +623,18 @@ pub(crate) mod tests {
 
     #[test]
     fn surrogate_devices_reject_unmodellable_configurations() {
-        let base = || test_device("d0", 1e9, false);
-        // Inverted or zero bounds.
-        let bad = base().with_static_bounds(0, 100);
-        assert_eq!(Fleet::new(vec![bad]).unwrap_err().kind(), "invalid-argument");
-        let bad = base().with_static_bounds(200, 100);
-        assert_eq!(Fleet::new(vec![bad]).unwrap_err().kind(), "invalid-argument");
+        let base = || surrogate_device("d0", false);
         // Faulted surrogate devices.
-        let bad = base()
-            .with_static_bounds(100, 200)
-            .with_scenario(FaultScenario::named("stall").with_stall(10, 20));
+        let bad = base().with_scenario(FaultScenario::named("stall").with_stall(10, 20));
         assert_eq!(Fleet::new(vec![bad]).unwrap_err().kind(), "fault-model");
         // Software scheduling under the surrogate.
-        let mut bad = base().with_static_bounds(100, 200);
+        let mut bad = base();
         bad.config.scheduler =
             equinox_sim::SchedulerPolicy::Software { block_cycles: 1_000 };
         assert_eq!(Fleet::new(vec![bad]).unwrap_err().kind(), "invalid-argument");
         // The same configurations are fine at cycle-accurate fidelity.
-        let ok = base().with_scenario(FaultScenario::named("stall").with_stall(10, 20));
+        let ok = test_device("d0", 1e9, false)
+            .with_scenario(FaultScenario::named("stall").with_stall(10, 20));
         assert!(Fleet::new(vec![ok]).is_ok());
     }
 
@@ -791,12 +740,13 @@ pub(crate) mod tests {
         );
     }
 
-    /// A surrogate-fidelity twin of [`test_device`] with exact bounds
-    /// (lower = upper = the nominal service time).
+    /// A surrogate twin of [`test_device`]: a one-point table at the
+    /// nominal service time, so the walk serves the engine's queue.
     fn surrogate_device(name: &str, harvests: bool) -> DeviceSpec {
         let d = test_device(name, 1e9, harvests);
         let exact = d.timing.total_cycles;
-        d.with_static_bounds(exact, exact)
+        let table = crate::fitted::FittedTable::fixed("test", d.timing.batch, exact).unwrap();
+        d.with_fitted(std::sync::Arc::new(table))
     }
 
     /// A fitted table fitting [`test_device`]'s timing: a ±25 %
@@ -878,8 +828,7 @@ pub(crate) mod tests {
         );
         let bad = test_device("d0", 1e9, false).with_fitted(narrow);
         assert_eq!(Fleet::new(vec![bad]).unwrap_err().kind(), "invalid-argument");
-        // Faults and non-shed degradation reject exactly as for the
-        // static-bounds tier.
+        // Faults and non-shed degradation reject.
         let bad = test_device("d0", 1e9, false)
             .with_fitted(table.clone())
             .with_scenario(FaultScenario::named("stall").with_stall(10, 20));

@@ -4,46 +4,29 @@ use crate::fitted::FittedTable;
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::training::TrainingProfile;
 use equinox_isa::EquinoxError;
-use equinox_sim::{AcceleratorConfig, FaultScenario, Simulation};
+use equinox_sim::{AcceleratorConfig, FaultScenario, SchedulerPolicy, Simulation};
 use std::sync::Arc;
 
 /// How a fleet member evaluates its share of the traffic.
 ///
 /// Large fleet sweeps pay one full discrete-event simulation per
-/// device per cell; when only coarse capacity questions are asked
-/// (sizing, routing-policy screening), a device can instead be
-/// evaluated by a fast analytic surrogate driven by the static cycle
-/// bounds of the served program (`equinox_check::bounds`). The
-/// [`Fidelity::StaticBounds`] surrogate mirrors the dispatcher's
-/// batch-formation rules but charges every batch the *upper* service
-/// bound, so its latencies are conservative; harvest is credited only
-/// for fully idle cycles, so free-training numbers are conservative
-/// too (see [`crate::surrogate`]).
-///
-/// [`Fidelity::Fitted`] keeps the same walk but draws each batch's
-/// service time, contention stretch, and energy from a quantile table
-/// fitted offline against the cycle-accurate engine and clamped into
-/// the same static envelope (see [`crate::fitted`]) — distributionally
-/// faithful where the envelope is merely sound, at the same O(1) cost
-/// per request, which is what lets sweeps reach 64–256 devices and
-/// 10–100× longer horizons.
+/// device per cell. A device can instead be evaluated by the surrogate
+/// walk ([`crate::surrogate`]), which draws each batch's service time,
+/// contention stretch, and energy from a [`FittedTable`] at O(1) cost
+/// per request — what lets sweeps reach 64–256 devices and 10–100×
+/// longer horizons. A table fitted offline against the cycle-accurate
+/// engine and clamped into the static envelope of the served program
+/// ([`FittedTable::fit`]) is distributionally faithful; the one-point
+/// table [`FittedTable::fixed`] at the upper static bound of the served
+/// program (`equinox_check::bounds`) charges every batch that bound, so
+/// its latencies and its harvest are both conservative.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fidelity {
     /// Full discrete-event simulation (the default).
     CycleAccurate,
-    /// Analytic surrogate bounded by the static bounds analysis.
-    StaticBounds {
-        /// Static lower bound on batch service cycles (kept for the
-        /// validity contract `lower ≤ upper`; the surrogate serves at
-        /// the upper bound).
-        lower_cycles: u64,
-        /// Static upper bound on batch service cycles — the service
-        /// time the surrogate charges per batch.
-        upper_cycles: u64,
-    },
-    /// Distributional surrogate: batch service drawn from a fitted
-    /// quantile table (shared across devices via `Arc`), every draw
-    /// clamped inside the static envelope.
+    /// The surrogate walk: batch service drawn from a quantile table
+    /// (shared across devices via `Arc`), every draw clamped inside the
+    /// table's static envelope.
     Fitted(Arc<FittedTable>),
 }
 
@@ -97,32 +80,24 @@ impl DeviceSpec {
         self
     }
 
-    /// Evaluates this device with the static-bounds surrogate instead
-    /// of the discrete-event engine. `lower_cycles`/`upper_cycles` are
-    /// the static cycle bounds of the served program (from
-    /// `equinox_check::bounds::compute_bounds`); [`crate::Fleet::new`]
-    /// validates `0 < lower ≤ upper`.
-    #[must_use]
-    pub fn with_static_bounds(mut self, lower_cycles: u64, upper_cycles: u64) -> Self {
-        self.fidelity = Fidelity::StaticBounds { lower_cycles, upper_cycles };
-        self
-    }
-
-    /// Evaluates this device with the fitted distributional surrogate.
-    /// The table is `Arc`-shared so hundreds of devices serving the
-    /// same model reference one fit; [`crate::Fleet::new`] validates
-    /// that the table's batch matches the device timing and that the
-    /// nominal service time lies inside the table's envelope.
+    /// Evaluates this device with the surrogate walk over `table`
+    /// instead of the discrete-event engine. The table is `Arc`-shared
+    /// so hundreds of devices serving the same model reference one fit;
+    /// [`crate::Fleet::new`] validates that the table's batch matches
+    /// the device timing and that the nominal service time lies inside
+    /// the table's envelope.
     #[must_use]
     pub fn with_fitted(mut self, table: Arc<FittedTable>) -> Self {
         self.fidelity = Fidelity::Fitted(table);
         self
     }
 
-    /// True if this device co-hosts training (a harvest candidate the
-    /// training-aware policy shields).
+    /// True if this device harvests: it co-hosts training and its
+    /// scheduler grants training cycles. Routing and admission shield
+    /// these devices, the surrogate credits their harvest, and they
+    /// join gradient synchronization.
     pub fn harvests(&self) -> bool {
-        self.training.is_some()
+        self.training.is_some() && !matches!(self.config.scheduler, SchedulerPolicy::InferenceOnly)
     }
 
     /// Saturation request rate in requests per second: a full batch
@@ -175,9 +150,13 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let d = test_device("d0", 1e9, true)
+        let mut d = test_device("d0", 1e9, true)
             .with_scenario(FaultScenario::named("stall").with_stall(10, 20));
         assert!(d.harvests());
         assert_eq!(d.scenario.name, "stall");
+        // A training profile the scheduler never runs harvests nothing.
+        d.config.scheduler = SchedulerPolicy::InferenceOnly;
+        assert!(!d.harvests());
+        assert!(!test_device("d1", 1e9, false).harvests());
     }
 }

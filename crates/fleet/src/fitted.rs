@@ -1,14 +1,16 @@
 //! Fitted distributional surrogate tables.
 //!
-//! [`FittedTable`] is the third fidelity tier between the conservative
-//! static-bounds envelope and the full discrete-event engine: a
-//! per-(model, batch) family of service-time and energy *quantile
-//! grids*, one grid per queue-depth ("contention") bucket, fitted
-//! offline against [`equinox_sim::Simulation::run_sampled`] traces by
-//! the `fitted` regen driver. A fitted device draws each batch's
-//! occupancy, contention stretch, and energy from the grid matching the
-//! queue depth at service start, by deterministic inverse-CDF
-//! interpolation on a seeded uniform.
+//! [`FittedTable`] is the fleet's one surrogate service model, the
+//! fast tier beside the full discrete-event engine: a per-(model,
+//! batch) family of service-time and energy *quantile grids*, one grid
+//! per queue-depth ("contention") bucket. [`FittedTable::fit`] builds
+//! it offline from [`equinox_sim::Simulation::run_sampled`] traces (the
+//! `fitted` regen driver); [`FittedTable::fixed`] is the degenerate
+//! one-point table that charges every batch the same service time, the
+//! conservative static-bound surrogate. A surrogate device draws each
+//! batch's occupancy, contention stretch, and energy from the grid
+//! matching the queue depth at service start, by deterministic
+//! inverse-CDF interpolation on a seeded uniform.
 //!
 //! ## Soundness: the clamp contract
 //!
@@ -28,17 +30,11 @@
 //!
 //! So a fitted sample can never leave the `[lower, upper]` interval the
 //! bounds gate validated, whatever the fitting data looked like.
-//!
-//! ## Lookup cost
-//!
-//! Bucket selection is a partition-point binary search over the sorted
-//! `bucket_edges` — O(log n) with instrumented probe counters
-//! ([`FittedTable::probe_count`]) so a scaling test can prove a
-//! 256-device sweep never degrades to linear scans.
+//! Bucket selection is a partition point over the sorted
+//! `bucket_edges`, the same rule at fit time and at draw time.
 
 use equinox_isa::EquinoxError;
 use equinox_sim::BatchSample;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of quantile points per grid: `q_i = i / (GRID_POINTS − 1)`
 /// for `i = 0..GRID_POINTS`, i.e. the min, the octiles, and the max.
@@ -76,7 +72,7 @@ pub struct FittedDraw {
 pub struct QuantileGrid {
     /// Number of fitting samples that landed in this bucket (0 for an
     /// unobserved bucket, which serves conservatively at the envelope
-    /// ceiling).
+    /// ceiling, and for the bucket of a [`FittedTable::fixed`] table).
     pub count: usize,
     /// Occupancy-cycle quantiles, non-decreasing, inside the cycle
     /// envelope.
@@ -92,7 +88,7 @@ impl QuantileGrid {
     /// The conservative grid for a bucket with no fitting samples:
     /// every draw serves at the envelope ceiling (occupancy and energy
     /// at the upper bound, maximally stretched), which is the
-    /// static-bounds surrogate's behaviour made pessimistic about
+    /// upper-bound [`FittedTable::fixed`] table made pessimistic about
     /// contention too.
     fn ceiling(upper_cycles: u64, energy_upper_j: f64) -> QuantileGrid {
         QuantileGrid {
@@ -107,9 +103,8 @@ impl QuantileGrid {
 /// A fitted distributional surrogate table for one (model, batch) cell.
 ///
 /// Shared across devices via `Arc` (256 fitted devices reference one
-/// table). `PartialEq` compares the fitted content only — the lookup
-/// instrumentation counters are diagnostics, not state.
-#[derive(Debug)]
+/// table).
+#[derive(Debug, PartialEq)]
 pub struct FittedTable {
     /// Name of the served model (matches `ModelSpec::name`).
     pub model: String,
@@ -130,23 +125,6 @@ pub struct FittedTable {
     bucket_edges: Vec<usize>,
     /// One grid per bucket; `len == bucket_edges.len() + 1`.
     buckets: Vec<QuantileGrid>,
-    /// Binary-search halving steps taken across all lookups.
-    probes: AtomicU64,
-    /// Total [`FittedTable::bucket_index`] calls.
-    lookups: AtomicU64,
-}
-
-impl PartialEq for FittedTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.model == other.model
-            && self.batch == other.batch
-            && self.lower_cycles == other.lower_cycles
-            && self.upper_cycles == other.upper_cycles
-            && self.energy_lower_j == other.energy_lower_j
-            && self.energy_upper_j == other.energy_upper_j
-            && self.bucket_edges == other.bucket_edges
-            && self.buckets == other.buckets
-    }
 }
 
 /// Linear-interpolation quantile of an ascending-sorted slice — the
@@ -249,9 +227,41 @@ impl FittedTable {
             energy_upper_j,
             bucket_edges,
             buckets,
-            probes: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
         })
+    }
+
+    /// The one-point table: a single bucket whose every draw is
+    /// `service_cycles` of occupancy at stretch 1 and 0 J. A device
+    /// served by it charges every batch exactly that service time on
+    /// one serial server — the conservative static-bound surrogate when
+    /// `service_cycles` is the upper static bound, the engine's own
+    /// queue when it is the nominal service time.
+    ///
+    /// # Errors
+    ///
+    /// The [`FittedTable::new`] validation errors (`batch` or
+    /// `service_cycles` zero).
+    pub fn fixed(
+        model: impl Into<String>,
+        batch: usize,
+        service_cycles: u64,
+    ) -> Result<FittedTable, EquinoxError> {
+        let grid = QuantileGrid {
+            count: 0,
+            occupancy_cycles: vec![service_cycles as f64; GRID_POINTS],
+            stretch: vec![1.0; GRID_POINTS],
+            energy_j: vec![0.0; GRID_POINTS],
+        };
+        FittedTable::new(
+            model,
+            batch,
+            service_cycles,
+            service_cycles,
+            0.0,
+            0.0,
+            vec![],
+            vec![grid],
+        )
     }
 
     /// Fits a table from engine batch samples: each sample is bucketed
@@ -288,10 +298,7 @@ impl FittedTable {
         let n_buckets = bucket_edges.len() + 1;
         let mut binned: Vec<Vec<&BatchSample>> = vec![Vec::new(); n_buckets];
         for s in samples {
-            // The same partition-point rule `bucket_index` uses, without
-            // the instrumentation (no table exists yet).
-            let b = bucket_edges.partition_point(|&e| e <= s.queue_depth);
-            binned[b].push(s);
+            binned[bucket_index(&bucket_edges, s.queue_depth)].push(s);
         }
         let buckets = binned
             .into_iter()
@@ -335,31 +342,13 @@ impl FittedTable {
         )
     }
 
-    /// The contention bucket for a queue depth: a hand-rolled
-    /// partition-point binary search over `bucket_edges`, instrumented
-    /// so [`FittedTable::probe_count`] can prove O(log n) scaling.
-    fn bucket_index(&self, queue_depth: usize) -> usize {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let (mut lo, mut hi) = (0usize, self.bucket_edges.len());
-        while lo < hi {
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            let mid = lo + (hi - lo) / 2;
-            if self.bucket_edges[mid] <= queue_depth {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     /// Draws one batch: selects the contention bucket for
     /// `queue_depth`, then inverse-CDF-interpolates all three lanes
     /// comonotonically at the uniform `u ∈ [0, 1]`. Every returned
     /// value is defensively clamped into the envelope, so the draw is
     /// inside `[lower, upper]` whatever the table contents.
     pub fn sample(&self, queue_depth: usize, u: f64) -> FittedDraw {
-        let grid = &self.buckets[self.bucket_index(queue_depth)];
+        let grid = &self.buckets[bucket_index(&self.bucket_edges, queue_depth)];
         let u = if u.is_finite() { u.clamp(0.0, 1.0) } else { 0.0 };
         let pos = u * (GRID_POINTS - 1) as f64;
         let k = (pos.floor() as usize).min(GRID_POINTS - 2);
@@ -386,25 +375,20 @@ impl FittedTable {
     pub fn buckets(&self) -> &[QuantileGrid] {
         &self.buckets
     }
+}
 
-    /// Total [`FittedTable::sample`]/lookup calls served so far.
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Total binary-search halving steps across all lookups. Bounded
-    /// by `lookup_count × (⌈log₂(edges + 1)⌉)` — the scaling test's
-    /// contract.
-    pub fn probe_count(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
+/// The contention bucket of a queue depth, the one rule fitting and
+/// drawing share: depth `< edges[0]` is bucket 0, `edges[i-1] ≤ depth <
+/// edges[i]` is bucket `i`, and `depth ≥ edges.last()` is the last
+/// bucket (a partition point over the sorted edges).
+fn bucket_index(edges: &[usize], queue_depth: usize) -> usize {
+    edges.partition_point(|&e| e <= queue_depth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use equinox_arith::check;
-    use equinox_arith::rng::SplitMix64;
 
     /// A small handmade table: envelope [1000, 2000] cycles,
     /// [1.0, 3.0] J, edges at depths 8 and 32.
@@ -447,6 +431,14 @@ mod tests {
                     QuantileGrid::ceiling(1000, 3.0),
                 ]),
             ),
+            (
+                "zero lower cycle bound",
+                FittedTable::new("m", 16, 0, 100, 1.0, 3.0, vec![], vec![
+                    QuantileGrid::ceiling(100, 3.0),
+                ]),
+            ),
+            ("zero fixed service time", FittedTable::fixed("m", 16, 0)),
+            ("zero fixed batch", FittedTable::fixed("m", 0, 1000)),
             (
                 "edges not strictly increasing",
                 FittedTable::new("m", 16, 1000, 2000, 1.0, 3.0, vec![8, 8], vec![
@@ -495,39 +487,28 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_matches_a_linear_scan() {
-        let t = toy_table();
-        for depth in 0..64 {
-            let linear = t.bucket_edges.iter().filter(|&&e| e <= depth).count();
-            assert_eq!(t.bucket_index(depth), linear, "depth {depth}");
+    fn a_fixed_table_draws_its_service_time_everywhere() {
+        let t = FittedTable::fixed("m", 16, 1000).unwrap();
+        assert_eq!((t.lower_cycles, t.upper_cycles), (1000, 1000));
+        assert!(t.bucket_edges().is_empty());
+        for depth in [0, 1, 64, usize::MAX] {
+            for u in [0.0, 0.3, 1.0, f64::NAN] {
+                let d = t.sample(depth, u);
+                assert_eq!(
+                    d,
+                    FittedDraw { occupancy_cycles: 1000.0, duration_cycles: 1000.0, energy_j: 0.0 }
+                );
+            }
         }
     }
 
     #[test]
-    fn lookup_probes_scale_logarithmically() {
-        // Satellite: a 256-edge table must answer every lookup in
-        // ≤ ⌈log₂(257)⌉ = 9 halving steps, never a linear scan.
-        let edges: Vec<usize> = (1..=256).map(|i| i * 4).collect();
-        let buckets: Vec<QuantileGrid> =
-            (0..257).map(|_| QuantileGrid::ceiling(2000, 3.0)).collect();
-        let t = FittedTable::new("scaling", 16, 1000, 2000, 1.0, 3.0, edges, buckets).unwrap();
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let lookups = 10_000usize;
-        for _ in 0..lookups {
-            t.sample(rng.usize_in(0, 2048), rng.next_f64());
+    fn bucket_index_matches_a_linear_scan() {
+        let t = toy_table();
+        for depth in 0..64 {
+            let linear = t.bucket_edges.iter().filter(|&&e| e <= depth).count();
+            assert_eq!(bucket_index(t.bucket_edges(), depth), linear, "depth {depth}");
         }
-        assert_eq!(t.lookup_count(), lookups as u64);
-        let max_probes_per_lookup = (257usize.next_power_of_two()).trailing_zeros() as u64;
-        assert!(
-            t.probe_count() <= t.lookup_count() * max_probes_per_lookup,
-            "{} probes for {} lookups exceeds the O(log n) bound of {} per lookup",
-            t.probe_count(),
-            t.lookup_count(),
-            max_probes_per_lookup
-        );
-        // And it genuinely binary-searches: strictly fewer probes than
-        // a linear scan of 256 edges would cost.
-        assert!(t.probe_count() < t.lookup_count() * 32);
     }
 
     #[test]
@@ -613,14 +594,5 @@ mod tests {
                 assert!(d.energy_j >= e_lo && d.energy_j <= e_hi);
             }
         });
-    }
-
-    #[test]
-    fn equality_ignores_instrumentation_counters() {
-        let a = toy_table();
-        let b = toy_table();
-        a.sample(0, 0.5);
-        assert_ne!(a.lookup_count(), b.lookup_count());
-        assert_eq!(a, b);
     }
 }

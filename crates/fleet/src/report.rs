@@ -43,9 +43,10 @@ pub struct DeviceOutcome {
     pub assigned_requests: usize,
     /// Free-training epochs harvested ([`free_epochs`]).
     pub free_epochs: f64,
-    /// Inference energy served by this device, joules. Filled only by
-    /// the fitted surrogate (its tables carry an energy envelope); 0
-    /// under cycle-accurate and static-bounds evaluation.
+    /// Inference energy served by this device, joules. Priced only by
+    /// the surrogate, from its table's energy envelope (0 under a
+    /// one-point [`crate::FittedTable::fixed`] table); 0 under
+    /// cycle-accurate evaluation.
     pub inference_energy_j: f64,
     /// The full per-device simulation report.
     pub report: SimReport,

@@ -33,7 +33,7 @@ use crate::report::DeviceOutcome;
 use equinox_isa::EquinoxError;
 use equinox_net::{run_allreduce_round, InterconnectSpec};
 use equinox_sim::loadgen::split_seed;
-use equinox_sim::{ClassLedger, SchedulerPolicy};
+use equinox_sim::ClassLedger;
 
 /// The interconnect's verdict on one fleet run: what one all-reduce
 /// round cost, what the fleet's harvest is worth once every free epoch
@@ -113,16 +113,13 @@ impl std::fmt::Display for SyncReport {
     }
 }
 
-/// Devices that participate in gradient synchronization: a training
-/// service is attached and the scheduler actually grants it cycles.
+/// Devices that participate in gradient synchronization: the
+/// harvesting ones ([`DeviceSpec::harvests`]).
 pub(crate) fn participant_indices(devices: &[DeviceSpec]) -> Vec<usize> {
     devices
         .iter()
         .enumerate()
-        .filter(|(_, d)| {
-            d.training.is_some()
-                && !matches!(d.config.scheduler, SchedulerPolicy::InferenceOnly)
-        })
+        .filter(|(_, d)| d.harvests())
         .map(|(i, _)| i)
         .collect()
 }

@@ -205,23 +205,7 @@ impl Simulation {
         scenario: &FaultScenario,
         slo: Option<SloSpec>,
     ) -> Result<SimReport, EquinoxError> {
-        if !arrivals.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(EquinoxError::invalid_argument(
-                "Simulation::run",
-                "arrivals must be sorted ascending",
-            ));
-        }
-        if let Some(&last) = arrivals.last() {
-            if last >= horizon_cycles {
-                return Err(EquinoxError::invalid_argument(
-                    "Simulation::run",
-                    format!(
-                        "arrivals must lie strictly inside the horizon \
-                         (last arrival {last} >= horizon {horizon_cycles})"
-                    ),
-                ));
-            }
-        }
+        check_arrivals("Simulation::run", arrivals, horizon_cycles)?;
         scenario.validate()?;
         Ok(Engine::new(self, arrivals, horizon_cycles, scenario, slo, false).run().0)
     }
@@ -242,25 +226,32 @@ impl Simulation {
         arrivals: &[u64],
         horizon_cycles: u64,
     ) -> Result<(SimReport, Vec<BatchSample>), EquinoxError> {
-        if !arrivals.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(EquinoxError::invalid_argument(
-                "Simulation::run_sampled",
-                "arrivals must be sorted ascending",
-            ));
-        }
-        if let Some(&last) = arrivals.last() {
-            if last >= horizon_cycles {
-                return Err(EquinoxError::invalid_argument(
-                    "Simulation::run_sampled",
-                    format!(
-                        "arrivals must lie strictly inside the horizon \
-                         (last arrival {last} >= horizon {horizon_cycles})"
-                    ),
-                ));
-            }
-        }
+        check_arrivals("Simulation::run_sampled", arrivals, horizon_cycles)?;
         let scenario = FaultScenario::baseline();
         Ok(Engine::new(self, arrivals, horizon_cycles, &scenario, None, true).run())
+    }
+}
+
+/// The arrival contract of every run: `arrivals` sorted ascending and
+/// strictly inside the horizon, else [`EquinoxError::InvalidArgument`]
+/// naming `api`.
+fn check_arrivals(
+    api: &'static str,
+    arrivals: &[u64],
+    horizon_cycles: u64,
+) -> Result<(), EquinoxError> {
+    if !arrivals.windows(2).all(|w| w[0] <= w[1]) {
+        return Err(EquinoxError::invalid_argument(api, "arrivals must be sorted ascending"));
+    }
+    match arrivals.last() {
+        Some(&last) if last >= horizon_cycles => Err(EquinoxError::invalid_argument(
+            api,
+            format!(
+                "arrivals must lie strictly inside the horizon \
+                 (last arrival {last} >= horizon {horizon_cycles})"
+            ),
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -818,28 +809,31 @@ impl<'a> Engine<'a> {
         breakdown.working += self.training_cycles;
         breakdown.idle = self.idle_cycles;
         let latency = LatencyStats::from_samples(self.latencies);
-        let final_queue_depth =
-            self.forming.len() + self.formed.iter().map(|b| b.arrivals.len()).sum::<usize>();
-        let slo = self.slo.map(|spec| {
-            let disturbance_end = self.scenario.last_disturbance_end();
-            // Requests still queued (or in service) at the horizon whose
-            // deadline has already expired are misses too — without
-            // them, an overloaded run whose queue grows without bound
-            // would report zero violations because the stuck requests
-            // never complete.
-            let is_stranded = |arrival: u64| {
-                (arrival as f64) >= self.warmup
-                    && (self.horizon - arrival as f64) / freq > spec.deadline_s
-            };
-            let stranded = self.forming.iter().filter(|&&a| is_stranded(a)).count()
-                + self
-                    .formed
+        // Every request unfinished at the horizon: forming, formed, in
+        // service, or backing off before a retry. With the completed,
+        // shed and dropped ones they account for every arrival.
+        let unfinished = || {
+            self.forming.iter().chain(
+                self.formed
                     .iter()
                     .chain(self.in_flight.iter().map(|(b, _)| b))
                     .chain(self.pending_retries.iter().map(|(b, _)| b))
-                    .flat_map(|b| b.arrivals.iter())
-                    .filter(|&&a| is_stranded(a))
-                    .count();
+                    .flat_map(|b| b.arrivals.iter()),
+            )
+        };
+        let final_queue_depth = unfinished().count();
+        let slo = self.slo.map(|spec| {
+            let disturbance_end = self.scenario.last_disturbance_end();
+            // Unfinished requests whose deadline has already expired are
+            // misses too — without them, an overloaded run whose queue
+            // grows without bound would report zero violations because
+            // the stuck requests never complete.
+            let stranded = unfinished()
+                .filter(|&&a| {
+                    (a as f64) >= self.warmup
+                        && (self.horizon - a as f64) / freq > spec.deadline_s
+                })
+                .count();
             SloReport {
                 deadline_s: spec.deadline_s,
                 measured_requests: self.completed_measured as usize
@@ -850,7 +844,9 @@ impl<'a> Engine<'a> {
                 shed_requests: self.shed_measured,
                 dropped_requests: self.dropped_measured,
                 p999_s: latency.p999(),
-                peak_queue_depth: self.peak_queue,
+                // The backlog at the horizon is one more observation
+                // of the queue, so the peak never reads below it.
+                peak_queue_depth: self.peak_queue.max(final_queue_depth),
                 final_queue_depth,
                 corrupted_batches: self.corrupted_batches,
                 retried_batches: self.retried_batches,
@@ -1114,6 +1110,10 @@ mod tests {
         let err = sim.run(&[5, 1], 1_000_000).unwrap_err();
         assert_eq!(err.kind(), "invalid-argument");
         assert!(err.to_string().contains("sorted"));
+        let err = sim.run_sampled(&[5, 1], 1_000_000).unwrap_err();
+        assert_eq!(err.kind(), "invalid-argument");
+        assert!(err.to_string().contains("run_sampled"), "{err}");
+        assert!(err.to_string().contains("sorted"), "{err}");
     }
 
     #[test]
@@ -1124,10 +1124,53 @@ mod tests {
         let err = sim.run(&[10, 1_000_000], 1_000_000).unwrap_err();
         assert_eq!(err.kind(), "invalid-argument");
         assert!(err.to_string().contains("horizon"), "{err}");
+        let err = sim.run_sampled(&[10, 1_000_000], 1_000_000).unwrap_err();
+        assert_eq!(err.kind(), "invalid-argument");
+        assert!(err.to_string().contains("horizon"), "{err}");
         // Past it: also rejected.
         assert!(sim.run(&[2_000_000], 1_000_000).is_err());
+        assert!(sim.run_sampled(&[2_000_000], 1_000_000).is_err());
         // Just inside: accepted.
         assert!(sim.run(&[999_999], 1_000_000).is_ok());
+        assert!(sim.run_sampled(&[999_999], 1_000_000).is_ok());
+    }
+
+    #[test]
+    fn requests_in_service_or_retrying_at_the_horizon_stay_in_the_final_queue() {
+        let sim = sim_with(SchedulerPolicy::InferenceOnly, false);
+        let service = sim.inference.total_cycles;
+        let horizon = 100 * service;
+        let slo = Some(SloSpec::new(1.0).unwrap());
+        // One full batch arriving half a service time before the
+        // horizon: it enters service and is still there at the end.
+        let arrivals: Vec<u64> = (0..16).map(|i| horizon - service / 2 + i).collect();
+        let r = sim.run_faulted(&arrivals, horizon, &FaultScenario::baseline(), slo).unwrap();
+        let slo_report = r.slo.unwrap();
+        assert_eq!(r.completed_requests, 0);
+        assert_eq!(slo_report.final_queue_depth, 16, "{slo_report:?}");
+        assert!(slo_report.peak_queue_depth >= slo_report.final_queue_depth);
+        assert_eq!(
+            r.completed_requests as usize + r.shed_requests as usize + slo_report.final_queue_depth,
+            arrivals.len()
+        );
+        // Every batch comes back corrupt and backs off before its retry:
+        // the horizon falls inside the first backoff, with the batch
+        // neither in service nor queued.
+        let mut c = config(SchedulerPolicy::InferenceOnly);
+        c.degradation.retry = crate::config::RetryPolicy::bounded_default();
+        let retrying = Simulation::new(c, sim.inference, None).unwrap();
+        let corrupt = FaultScenario::named("corrupt").with_corruption(0.999_999, 5);
+        let start = horizon / 2;
+        let arrivals: Vec<u64> = (0..16).map(|i| start + i).collect();
+        let backoff = retrying.config.degradation.retry.backoff_cycles;
+        let r = retrying
+            .run_faulted(&arrivals, start + 16 + service + backoff / 2, &corrupt, slo)
+            .unwrap();
+        let slo_report = r.slo.unwrap();
+        assert_eq!((slo_report.corrupted_batches, slo_report.retried_batches), (1, 1));
+        assert_eq!(r.completed_requests, 0);
+        assert_eq!(slo_report.dropped_requests, 0);
+        assert_eq!(slo_report.final_queue_depth, 16, "{slo_report:?}");
     }
 
     #[test]

@@ -54,8 +54,8 @@ impl RequestClass {
 /// Offered and shed counts are exact for every request — they are
 /// decided at the admission edge. Completion fate is *attributed*
 /// per class only where the evaluator reports per-request outcomes
-/// (the fleet's static-bounds surrogate does; the cycle-accurate
-/// engine reports aggregates): requests whose fate cannot be
+/// (the fleet's surrogate walk does; the cycle-accurate engine
+/// reports aggregates): requests whose fate cannot be
 /// attributed are counted in `unattributed_requests` rather than
 /// silently folded into a class they may not belong to.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,10 +216,13 @@ pub struct SloReport {
     pub dropped_requests: usize,
     /// 99.9th-percentile latency of completed requests, seconds.
     pub p999_s: f64,
-    /// Deepest the inference queue (formed + forming requests) got.
+    /// Deepest the inference queue (formed + forming requests) got,
+    /// never below [`SloReport::final_queue_depth`].
     pub peak_queue_depth: usize,
-    /// Queue depth when the run ended — nonzero growth relative to one
-    /// batch signals an unstable (overloaded) regime.
+    /// Requests unfinished when the run ended: forming, formed, in
+    /// service, or awaiting a retry. With the completed, shed and
+    /// dropped requests they account for every arrival. Growth beyond a
+    /// few batches signals an unstable (overloaded) regime.
     pub final_queue_depth: usize,
     /// Batches whose results were corrupted by injected faults.
     pub corrupted_batches: usize,
