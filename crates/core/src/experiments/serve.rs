@@ -99,6 +99,9 @@ pub struct ServeCell {
     pub completed: u64,
     /// Requests shed by device-local policies.
     pub device_shed: u64,
+    /// Requests lost with corrupted batches on devices, warm-up
+    /// included.
+    pub device_dropped: u64,
     /// Requests still queued on devices at the horizon.
     pub final_queue: usize,
     /// Autoscale joins observed.
@@ -299,6 +302,7 @@ pub fn run(scale: ExperimentScale) -> ServeSweep {
             admission_shed: report.admission_shed_requests,
             completed: report.completed_requests(),
             device_shed: report.shed_requests(),
+            device_dropped: report.dropped_requests(),
             final_queue: report
                 .devices
                 .iter()
@@ -360,6 +364,7 @@ pub fn run(scale: ExperimentScale) -> ServeSweep {
         admission_shed: scaled_report.admission_shed_requests,
         completed: scaled_report.completed_requests(),
         device_shed: scaled_report.shed_requests(),
+        device_dropped: scaled_report.dropped_requests(),
         final_queue: scaled_report
             .devices
             .iter()
@@ -457,11 +462,13 @@ impl ServeSweep {
     }
 
     /// Every cell lost nothing: each offered request is admission-shed,
-    /// completed, device-shed, or still unfinished at the horizon.
+    /// completed, device-shed, dropped with a corrupted batch, or still
+    /// unfinished at the horizon.
     pub fn requests_conserved(&self) -> bool {
         self.cells.iter().all(|c| {
-            c.admission_shed + c.completed as usize + c.device_shed as usize + c.final_queue
-                == c.offered
+            c.admission_shed as u64 + c.completed + c.device_shed + c.device_dropped
+                + c.final_queue as u64
+                == c.offered as u64
         })
     }
 
@@ -633,11 +640,11 @@ mod tests {
                 c.kind,
                 c.admission
             );
-            // Every admitted request is completed, device-shed, or
-            // unfinished at the horizon.
+            // Every admitted request is completed, device-shed,
+            // dropped, or unfinished at the horizon.
             assert_eq!(
-                c.completed as usize + c.device_shed as usize + c.final_queue,
-                assigned,
+                c.completed + c.device_shed + c.device_dropped + c.final_queue as u64,
+                assigned as u64,
                 "{} {}",
                 c.kind,
                 c.admission

@@ -223,12 +223,17 @@ impl Bucket {
             .collect()
     }
 
-    /// Lazily refills up to `t_s`, then reports the balance.
-    fn refill_to(&mut self, t_s: f64) -> f64 {
+    /// Lazily refills up to `t_s`, then spends one token if the
+    /// balance is at least `floor`.
+    fn spend(&mut self, t_s: f64, floor: f64) -> bool {
         let dt = (t_s - self.last_s).max(0.0);
         self.last_s = t_s;
         self.tokens = (self.tokens + dt * self.rate_per_s).min(self.capacity);
-        self.tokens
+        let spent = self.tokens >= floor;
+        if spent {
+            self.tokens -= 1.0;
+        }
+        spent
     }
 }
 
@@ -292,9 +297,7 @@ impl AdmissionPolicy for TokenBucket {
     }
 
     fn decide(&mut self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        let b = &mut self.buckets[ctx.candidate];
-        if b.refill_to(ctx.t_s) >= 1.0 {
-            b.tokens -= 1.0;
+        if self.buckets[ctx.candidate].spend(ctx.t_s, 1.0) {
             AdmissionDecision::Admit
         } else {
             AdmissionDecision::Shed
@@ -302,7 +305,10 @@ impl AdmissionPolicy for TokenBucket {
     }
 }
 
-/// [`AdmissionSpec::Priority`].
+/// [`AdmissionSpec::Priority`]. A paid request tries its candidate's
+/// bucket first and sorts the rest of the active set into
+/// [`spill_order`] only when the candidate refuses, so on a fleet with
+/// budget to spare a paid decision costs one bucket, not a sort.
 struct Priority {
     buckets: Vec<Bucket>,
     /// Tokens a free-tier request must leave behind, per device.
@@ -320,9 +326,7 @@ impl AdmissionPolicy for Priority {
                 // Free tier: candidate only, and it must leave the
                 // paid reserve untouched. Shed first.
                 let d = ctx.candidate;
-                let b = &mut self.buckets[d];
-                if b.refill_to(ctx.t_s) >= 1.0 + self.free_reserve[d] {
-                    b.tokens -= 1.0;
+                if self.buckets[d].spend(ctx.t_s, 1.0 + self.free_reserve[d]) {
                     AdmissionDecision::Admit
                 } else {
                     AdmissionDecision::Shed
@@ -333,27 +337,24 @@ impl AdmissionPolicy for Priority {
                 // active set — non-harvesting devices in ascending
                 // backlog order before harvesting ones, so harvest is
                 // preempted only as the last resort.
-                for d in spill_order(ctx) {
-                    let b = &mut self.buckets[d];
-                    if b.refill_to(ctx.t_s) >= 1.0 {
-                        b.tokens -= 1.0;
-                        return if d == ctx.candidate {
-                            AdmissionDecision::Admit
-                        } else {
-                            AdmissionDecision::AdmitOn(d)
-                        };
-                    }
+                if self.buckets[ctx.candidate].spend(ctx.t_s, 1.0) {
+                    return AdmissionDecision::Admit;
                 }
-                AdmissionDecision::Shed
+                spill_order(ctx)
+                    .find(|&d| self.buckets[d].spend(ctx.t_s, 1.0))
+                    .map_or(AdmissionDecision::Shed, AdmissionDecision::AdmitOn)
             }
         }
     }
 }
 
-/// Paid-spill order: the candidate, then the remaining active
-/// non-harvesting devices by ascending backlog, then the active
+/// Paid-spill order once the candidate has refused: the other active
+/// non-harvesting devices by ascending backlog, then the other active
 /// harvesting devices by ascending backlog (ties break to the lower
-/// index — fully deterministic).
+/// index — fully deterministic). The candidate is not in it. Trying
+/// the candidate before building this order refills the same buckets
+/// in the same sequence as trying it at the head of the order would,
+/// so every decision and every bucket balance is the same either way.
 fn spill_order(ctx: &AdmissionContext<'_>) -> impl Iterator<Item = usize> {
     // Each device's sort key is built once, not once per comparison.
     let mut rest: Vec<(bool, f64, usize)> = ctx
@@ -363,13 +364,14 @@ fn spill_order(ctx: &AdmissionContext<'_>) -> impl Iterator<Item = usize> {
         .map(|&d| (ctx.devices[d].harvests(), ctx.backlog_s[d], d))
         .collect();
     rest.sort_by(|a, b| a.partial_cmp(b).expect("backlogs are finite"));
-    std::iter::once(ctx.candidate).chain(rest.into_iter().map(|(_, _, d)| d))
+    rest.into_iter().map(|(_, _, d)| d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::tests::test_device;
+    use equinox_arith::check::for_each_case;
 
     fn ctx<'a>(
         t_s: f64,
@@ -510,5 +512,118 @@ mod tests {
         // tokens, landing on the active harvester d2.
         let c = ctx(0.0, RequestClass::Paid, 0, &[0.0; 3], &devices, &active, None);
         assert_eq!(p.decide(&c), AdmissionDecision::AdmitOn(2));
+    }
+
+    /// The sort-first priority policy the lazy one must reproduce: every
+    /// paid request collects and sorts the whole active set, candidate
+    /// at the head, before it tries a bucket.
+    struct SortFirst {
+        buckets: Vec<Bucket>,
+        free_reserve: Vec<f64>,
+    }
+
+    impl SortFirst {
+        fn refill_to(b: &mut Bucket, t_s: f64) -> f64 {
+            let dt = (t_s - b.last_s).max(0.0);
+            b.last_s = t_s;
+            b.tokens = (b.tokens + dt * b.rate_per_s).min(b.capacity);
+            b.tokens
+        }
+
+        fn order(ctx: &AdmissionContext<'_>) -> impl Iterator<Item = usize> {
+            let mut rest: Vec<(bool, f64, usize)> = ctx
+                .active
+                .iter()
+                .filter(|&&d| d != ctx.candidate)
+                .map(|&d| (ctx.devices[d].harvests(), ctx.backlog_s[d], d))
+                .collect();
+            rest.sort_by(|a, b| a.partial_cmp(b).expect("backlogs are finite"));
+            std::iter::once(ctx.candidate).chain(rest.into_iter().map(|(_, _, d)| d))
+        }
+
+        fn decide(&mut self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
+            match ctx.class {
+                RequestClass::Free => {
+                    let d = ctx.candidate;
+                    let b = &mut self.buckets[d];
+                    if Self::refill_to(b, ctx.t_s) >= 1.0 + self.free_reserve[d] {
+                        b.tokens -= 1.0;
+                        AdmissionDecision::Admit
+                    } else {
+                        AdmissionDecision::Shed
+                    }
+                }
+                RequestClass::Paid => {
+                    for d in Self::order(ctx) {
+                        let b = &mut self.buckets[d];
+                        if Self::refill_to(b, ctx.t_s) >= 1.0 {
+                            b.tokens -= 1.0;
+                            return if d == ctx.candidate {
+                                AdmissionDecision::Admit
+                            } else {
+                                AdmissionDecision::AdmitOn(d)
+                            };
+                        }
+                    }
+                    AdmissionDecision::Shed
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_spill_matches_the_sort_first_reference() {
+        // Random fleets, harvest flags, starting balances and budgets;
+        // per request a random class, active subset holding the
+        // candidate, and backlogs drawn from four levels so that ties
+        // are common. Every decision and every final balance must
+        // match the reference bit for bit.
+        let mut seen = [0usize; 3];
+        for_each_case(64, 0x5_9111_0DE5, |g| {
+            let n = g.usize_in(1, 10);
+            let devices: Vec<DeviceSpec> =
+                (0..n).map(|i| test_device(&format!("d{i}"), 1e9, g.next_bool())).collect();
+            let mut buckets = Bucket::fleet(&devices, g.f64_in(0.2, 1.5), g.f64_in(0.1, 2.0));
+            for b in &mut buckets {
+                b.tokens = g.f64_in(0.0, b.capacity);
+            }
+            let free_reserve: Vec<f64> = devices
+                .iter()
+                .map(|d| g.f64_in(0.0, 1.0) * d.timing.batch as f64)
+                .collect();
+            let mut lazy =
+                Priority { buckets: buckets.clone(), free_reserve: free_reserve.clone() };
+            let mut reference = SortFirst { buckets, free_reserve };
+            let levels = [0.0, 1e-6, 2e-6, 5e-6];
+            let spacing_s = devices[0].work_per_request_s() / n as f64;
+            let mut t_s = 0.0;
+            for step in 0..300 {
+                if g.usize_in(0, 4) != 0 {
+                    t_s += g.f64_in(0.0, 2.0) * spacing_s;
+                }
+                let backlog: Vec<f64> = (0..n).map(|_| levels[g.usize_in(0, 4)]).collect();
+                let candidate = g.usize_in(0, n);
+                let active: Vec<usize> =
+                    (0..n).filter(|&d| d == candidate || g.usize_in(0, 4) != 0).collect();
+                let class =
+                    if g.usize_in(0, 4) == 0 { RequestClass::Free } else { RequestClass::Paid };
+                let c = ctx(t_s, class, candidate, &backlog, &devices, &active, None);
+                let decision = lazy.decide(&c);
+                assert_eq!(decision, reference.decide(&c), "request {step}");
+                seen[match decision {
+                    AdmissionDecision::Admit => 0,
+                    AdmissionDecision::AdmitOn(_) => 1,
+                    AdmissionDecision::Shed => 2,
+                }] += 1;
+            }
+            for (d, (a, b)) in lazy.buckets.iter().zip(&reference.buckets).enumerate() {
+                assert_eq!(
+                    (a.tokens.to_bits(), a.last_s.to_bits()),
+                    (b.tokens.to_bits(), b.last_s.to_bits()),
+                    "bucket {d}: {a:?} vs {b:?}"
+                );
+            }
+        });
+        assert!(seen.iter().all(|&k| k > 100), "admit / spill / shed counts {seen:?}");
     }
 }

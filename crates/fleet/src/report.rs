@@ -161,9 +161,11 @@ impl FleetReport {
         self.devices.iter().map(|d| d.report.shed_requests).sum()
     }
 
-    /// Requests dropped with corrupted batches across the fleet.
-    pub fn dropped_requests(&self) -> usize {
-        self.slo_ledger(|s| s.dropped_requests)
+    /// Requests dropped with corrupted batches across the fleet,
+    /// warm-up included (the SLO ledgers' counts are in
+    /// [`FleetReport::total_violations`]).
+    pub fn dropped_requests(&self) -> u64 {
+        self.devices.iter().map(|d| d.report.dropped_requests).sum()
     }
 
     /// Deadline misses across the fleet.

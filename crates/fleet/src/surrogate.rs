@@ -402,6 +402,7 @@ pub(crate) fn run(
         incomplete_batches: walk.incomplete_batches,
         training_blocks: 0,
         shed_requests: walk.shed_total,
+        dropped_requests: 0,
         slo: slo_report,
     };
     SurrogateRun { report, outcomes: walk.outcomes, energy_j: walk.energy_j }

@@ -309,6 +309,7 @@ struct Engine<'a> {
     shed_measured: usize,
     dropped_measured: usize,
     shed_total: u64,
+    dropped_total: u64,
     corrupted_batches: usize,
     retried_batches: usize,
     dropped_batches: usize,
@@ -370,6 +371,7 @@ impl<'a> Engine<'a> {
             shed_measured: 0,
             dropped_measured: 0,
             shed_total: 0,
+            dropped_total: 0,
             corrupted_batches: 0,
             retried_batches: 0,
             dropped_batches: 0,
@@ -727,6 +729,7 @@ impl<'a> Engine<'a> {
                 .sort_by(|a, b| a.1.total_cmp(&b.1));
         } else {
             self.dropped_batches += 1;
+            self.dropped_total += batch.arrivals.len() as u64;
             for &arrival in &batch.arrivals {
                 if (arrival as f64) >= self.warmup {
                     self.dropped_measured += 1;
@@ -811,7 +814,9 @@ impl<'a> Engine<'a> {
         let latency = LatencyStats::from_samples(self.latencies);
         // Every request unfinished at the horizon: forming, formed, in
         // service, or backing off before a retry. With the completed,
-        // shed and dropped ones they account for every arrival.
+        // shed and dropped ones (`completed_requests`, `shed_requests`
+        // and `dropped_requests` of the report, warm-up included) they
+        // account for every arrival.
         let unfinished = || {
             self.forming.iter().chain(
                 self.formed
@@ -873,6 +878,7 @@ impl<'a> Engine<'a> {
             incomplete_batches: self.incomplete_batches,
             training_blocks: self.training_block_count,
             shed_requests: self.shed_total,
+            dropped_requests: self.dropped_total,
             slo,
         };
         (report, samples)
@@ -1339,13 +1345,24 @@ mod tests {
         let sim = sim_with(SchedulerPolicy::InferenceOnly, false);
         let horizon = 400_000_000;
         let corrupt = FaultScenario::named("corrupt").with_corruption(0.3, 99);
-        let r = run_faulted_at_load(&sim, 0.5, horizon, 31, &corrupt, deadline_s(&sim));
-        let slo = r.slo.unwrap();
+        let rate = 0.5 * sim.max_request_rate_per_cycle();
+        let arrivals = scenario_arrivals(&corrupt, rate, horizon, 31).unwrap();
+        let slo = Some(SloSpec::new(deadline_s(&sim)).unwrap());
+        let r = sim.run_faulted(&arrivals, horizon, &corrupt, slo).unwrap();
+        let slo = r.slo.as_ref().unwrap();
         assert!(slo.corrupted_batches > 0);
         assert_eq!(slo.retried_batches, 0, "retry disabled by default");
         assert_eq!(slo.dropped_batches, slo.corrupted_batches);
         assert!(slo.dropped_requests > 0);
         assert!(slo.total_violations() > 0);
+        // The report's total counts the drops inside warm-up too, so the
+        // whole run's arrivals are accounted for.
+        assert!(r.dropped_requests > slo.dropped_requests as u64, "a drop inside warm-up");
+        assert_eq!(
+            r.completed_requests + r.shed_requests + r.dropped_requests
+                + slo.final_queue_depth as u64,
+            arrivals.len() as u64
+        );
     }
 
     #[test]

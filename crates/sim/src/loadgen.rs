@@ -283,25 +283,89 @@ pub fn trace_mean_load(
     Ok(build_segments(profile, crowds).last().map_or(0.0, |s| s.cum1))
 }
 
-/// Inverts the piecewise cumulative intensity at `target` load-units:
-/// locates the covering segment, then bisects the closed-form
-/// antiderivative inside it. 64 halvings take the bracket to one ulp.
-fn invert_cumulative(profile: &DiurnalProfile, segments: &[TraceSegment], target: f64) -> f64 {
-    let i = segments.partition_point(|s| s.cum1 <= target).min(segments.len() - 1);
-    let s = &segments[i];
-    if s.mult <= 0.0 {
-        return s.x0;
-    }
-    let (mut lo, mut hi) = (s.x0, s.x1);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if s.cum0 + s.mult * (diurnal_integral(profile, mid) - s.i0) <= target {
-            lo = mid;
-        } else {
-            hi = mid;
+/// Inverts the piecewise cumulative intensity to a horizon cycle, one
+/// arrival after another: locates the segment covering a target in
+/// load-units, then bisects the closed-form antiderivative inside it.
+///
+/// The result is the cycle `(x × horizon) as u64` of the bracket's
+/// lower end after 64 halvings, bit for bit, with less work. Two
+/// shortcuts make it cheap, and neither can change a result:
+///
+/// - **Cycle resolution.** The walk stops as soon as both ends of the
+///   bracket map to the same cycle. Every later bracket lies inside the
+///   current one (a midpoint never leaves `[lo, hi]`), and
+///   `x ↦ (x × horizon) as u64` is monotone in IEEE arithmetic, so the
+///   64th `lo` maps to that cycle too. While the bracket straddles a
+///   cycle boundary the walk goes on, to at most 64 halvings, as the
+///   specification does.
+/// - **Path reuse.** Each depth's cumulative value and direction are
+///   kept. Consecutive targets share their leading directions, and
+///   while the new walk takes the stored directions its brackets, and
+///   so its midpoints, are the same floats: the stored value is reused.
+///   From the first divergence on the walk evaluates and overwrites the
+///   path. A segment change resets it.
+struct CycleInverter<'a> {
+    profile: &'a DiurnalProfile,
+    segments: &'a [TraceSegment],
+    horizon: f64,
+    /// The segment the stored path bisects.
+    segment: usize,
+    /// Per depth: the cumulative intensity at that depth's midpoint,
+    /// and whether the walk moved `lo` up to it.
+    path: Vec<(f64, bool)>,
+}
+
+impl<'a> CycleInverter<'a> {
+    fn new(profile: &'a DiurnalProfile, segments: &'a [TraceSegment], horizon_cycles: u64) -> Self {
+        CycleInverter {
+            profile,
+            segments,
+            horizon: horizon_cycles as f64,
+            segment: usize::MAX,
+            path: Vec::with_capacity(64),
         }
     }
-    lo
+
+    /// The cycle at which the cumulative intensity reaches `target`.
+    fn cycle(&mut self, target: f64) -> u64 {
+        let horizon = self.horizon;
+        let at = |x: f64| (x * horizon) as u64;
+        let i = self.segments.partition_point(|s| s.cum1 <= target).min(self.segments.len() - 1);
+        let s = &self.segments[i];
+        if s.mult <= 0.0 {
+            return at(s.x0);
+        }
+        if i != self.segment {
+            self.segment = i;
+            self.path.clear();
+        }
+        let (mut lo, mut hi) = (s.x0, s.x1);
+        let (mut lo_cycle, mut hi_cycle) = (at(lo), at(hi));
+        for depth in 0..64 {
+            if lo_cycle == hi_cycle {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            let stored = self.path.get(depth).copied();
+            let cum = stored.map_or_else(
+                || s.cum0 + s.mult * (diurnal_integral(self.profile, mid) - s.i0),
+                |(cum, _)| cum,
+            );
+            let up = cum <= target;
+            if stored != Some((cum, up)) {
+                self.path.truncate(depth);
+                self.path.push((cum, up));
+            }
+            if up {
+                lo = mid;
+                lo_cycle = at(mid);
+            } else {
+                hi = mid;
+                hi_cycle = at(mid);
+            }
+        }
+        lo_cycle
+    }
 }
 
 /// Generates a trace-scale arrival stream: non-homogeneous Poisson
@@ -318,6 +382,12 @@ fn invert_cumulative(profile: &DiurnalProfile, segments: &[TraceSegment], target
 /// for a fixed seed (scaling only moves the cutoff down the same unit
 /// stream), and every arrival is **strictly inside the horizon**
 /// (`Simulation::run` rejects at/past-horizon arrivals).
+///
+/// The inverse is bisected only until it resolves to one cycle, and
+/// each arrival reuses the leading steps it shares with the previous
+/// one: on a trace day that is a few `sin` evaluations per arrival
+/// instead of 64, with exactly the cycles a full 64-halving bisection
+/// gives.
 ///
 /// # Errors
 ///
@@ -350,6 +420,7 @@ pub fn trace_arrivals(
     if volume <= 0.0 || total_units <= 0.0 {
         return Ok(arrivals);
     }
+    let mut inverter = CycleInverter::new(profile, &segments, horizon_cycles);
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut unit_t = 0.0f64;
     let mut last_cycle = 0u64;
@@ -360,12 +431,10 @@ pub fn trace_arrivals(
         if target >= total_units {
             break;
         }
-        let x = invert_cumulative(profile, &segments, target);
         // The inversion is monotone up to one ulp of bisection noise;
         // clamping to the previous arrival keeps the stream sorted, and
         // the `min` keeps the last cycle strictly inside the horizon.
-        let cycle =
-            ((x * horizon_cycles as f64) as u64).min(horizon_cycles - 1).max(last_cycle);
+        let cycle = inverter.cycle(target).min(horizon_cycles - 1).max(last_cycle);
         last_cycle = cycle;
         arrivals.push(cycle);
     }
@@ -538,6 +607,158 @@ mod tests {
             })
             .collect();
         (profile, crowds)
+    }
+
+    /// The specification [`CycleInverter`] is held to: locate the
+    /// covering segment, then halve the bracket 64 times, to one ulp,
+    /// and return its lower end.
+    fn invert_cumulative(profile: &DiurnalProfile, segments: &[TraceSegment], target: f64) -> f64 {
+        let i = segments.partition_point(|s| s.cum1 <= target).min(segments.len() - 1);
+        let s = &segments[i];
+        if s.mult <= 0.0 {
+            return s.x0;
+        }
+        let (mut lo, mut hi) = (s.x0, s.x1);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if s.cum0 + s.mult * (diurnal_integral(profile, mid) - s.i0) <= target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// [`trace_arrivals`] with every arrival inverted by the
+    /// specification.
+    fn reference_trace(
+        profile: &DiurnalProfile,
+        crowds: &[FlashCrowd],
+        max_rate: f64,
+        horizon_cycles: u64,
+        seed: u64,
+    ) -> Vec<u64> {
+        let segments = build_segments(profile, crowds);
+        let total_units = segments.last().map_or(0.0, |s| s.cum1);
+        let volume = max_rate * horizon_cycles as f64;
+        let mut arrivals = Vec::new();
+        if volume <= 0.0 || total_units <= 0.0 {
+            return arrivals;
+        }
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let (mut unit_t, mut last_cycle) = (0.0f64, 0u64);
+        loop {
+            unit_t += -rng.next_f64().max(f64::MIN_POSITIVE).ln();
+            let target = unit_t / volume;
+            if target >= total_units {
+                return arrivals;
+            }
+            let x = invert_cumulative(profile, &segments, target);
+            let cycle =
+                ((x * horizon_cycles as f64) as u64).min(horizon_cycles - 1).max(last_cycle);
+            last_cycle = cycle;
+            arrivals.push(cycle);
+        }
+    }
+
+    /// Asserts that `trace_arrivals` reproduces the specification's
+    /// stream of about `expected` arrivals over `horizon_cycles`.
+    fn assert_matches_specification(
+        profile: &DiurnalProfile,
+        crowds: &[FlashCrowd],
+        horizon_cycles: u64,
+        expected: f64,
+        seed: u64,
+    ) {
+        let mean = trace_mean_load(profile, crowds).unwrap();
+        let max_rate = if mean > 0.0 { expected / (mean * horizon_cycles as f64) } else { 1.0 };
+        let got = trace_arrivals(profile, crowds, 1.0, max_rate, horizon_cycles, seed).unwrap();
+        let want = reference_trace(profile, crowds, max_rate, horizon_cycles, seed);
+        assert_eq!(got.len(), want.len(), "{profile:?} {crowds:?} horizon {horizon_cycles}");
+        if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+            panic!(
+                "arrival {i} at cycle {} instead of {} ({profile:?} {crowds:?} horizon \
+                 {horizon_cycles} seed {seed})",
+                got[i], want[i]
+            );
+        }
+    }
+
+    #[test]
+    fn trace_stream_matches_the_64_halving_specification() {
+        // Random compositions over horizons from one cycle to 2⁶³, with
+        // zero troughs and total brownouts drawn often.
+        for_each_case(256, 0x1_5EC7_10E5, |g| {
+            let (mut profile, mut crowds) = random_trace(g);
+            if g.usize_in(0, 4) == 0 {
+                profile.trough = 0.0;
+            }
+            if let Some(c) = crowds.first_mut().filter(|_| g.next_bool()) {
+                c.multiplier = 0.0;
+            }
+            let horizon = (g.next_u64() >> g.usize_in(1, 64)).max(1);
+            let expected = g.usize_in(1, 4_000) as f64;
+            assert_matches_specification(&profile, &crowds, horizon, expected, g.next_u64());
+        });
+    }
+
+    #[test]
+    fn trace_stream_matches_the_specification_at_the_edges() {
+        let day = DiurnalProfile::thirty_percent_average();
+        let crowd = FlashCrowd { start_frac: 0.55, duration_frac: 0.08, multiplier: 2.5 };
+        let brownout = FlashCrowd { start_frac: 0.2, duration_frac: 0.3, multiplier: 0.0 };
+        let no_trough = DiurnalProfile { trough: 0.0, peak: 0.6 };
+        let cases: [(&DiurnalProfile, &[FlashCrowd], u64); 6] = [
+            // One cycle: every arrival lands on cycle 0.
+            (&day, &[crowd], 1),
+            // Past 2⁵³ adjacent floats land more than one cycle apart.
+            (&day, &[crowd], (1 << 60) + 12_345),
+            (&day, &[crowd], u64::MAX),
+            // The rate reaches zero at midnight.
+            (&no_trough, &[], 1_000_000),
+            // A crowd that stops all traffic for 30 % of the day.
+            (&day, &[brownout, crowd], 10_000_000),
+            (&no_trough, &[brownout], 10_000_000),
+        ];
+        for (profile, crowds, horizon) in cases {
+            assert_matches_specification(profile, crowds, horizon, 3_000.0, 23);
+        }
+    }
+
+    #[test]
+    fn inverter_matches_the_specification_on_segment_boundaries() {
+        // Targets exactly on, and one ulp either side of, every
+        // segment's ends, plus a run just past the day's start, where
+        // the bracket is still wide relative to its ulp after 63
+        // halvings: visited in ascending order, then in a scrambled
+        // order that keeps switching segments and abandoning the stored
+        // path deep down.
+        let profile = DiurnalProfile::thirty_percent_average();
+        let crowds = [
+            FlashCrowd { start_frac: 0.1, duration_frac: 0.15, multiplier: 0.0 },
+            FlashCrowd { start_frac: 0.2, duration_frac: 0.3, multiplier: 3.0 },
+            FlashCrowd { start_frac: 0.55, duration_frac: 0.08, multiplier: 2.5 },
+        ];
+        let segments = build_segments(&profile, &crowds);
+        let total = segments.last().unwrap().cum1;
+        let mut targets: Vec<f64> = segments
+            .iter()
+            .flat_map(|s| [s.cum0, s.cum1])
+            .flat_map(|c| [f64::from_bits(c.to_bits().saturating_sub(1)), c, c.next_up()])
+            .chain((1..=400).map(|k| total * k as f64 * 1e-7))
+            .filter(|&t| (0.0..total).contains(&t))
+            .collect();
+        targets.sort_by(f64::total_cmp);
+        let scrambled: Vec<f64> =
+            (0..targets.len()).map(|i| targets[(i * 7) % targets.len()]).collect();
+        for horizon in [1, 1_000, 5_883_000, 150_000_000, 1 << 60, u64::MAX] {
+            let mut inverter = CycleInverter::new(&profile, &segments, horizon);
+            for &t in targets.iter().chain(&scrambled) {
+                let want = (invert_cumulative(&profile, &segments, t) * horizon as f64) as u64;
+                assert_eq!(inverter.cycle(t), want, "target {t:e} horizon {horizon}");
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,11 @@ pub struct SimReport {
     /// Requests turned away at admission by load shedding (0 unless a
     /// degradation policy sheds).
     pub shed_requests: u64,
+    /// Requests lost with a corrupted batch that exhausted its retries
+    /// (0 unless faults corrupt batches). Unlike the SLO ledger's count,
+    /// it includes warm-up: with the completed and shed requests and the
+    /// final queue it accounts for every arrival.
+    pub dropped_requests: u64,
     /// QoS ledger, present when the run was held against an
     /// [`SloSpec`](crate::slo::SloSpec).
     pub slo: Option<SloReport>,
@@ -98,6 +103,7 @@ mod tests {
             incomplete_batches: 1,
             training_blocks: 0,
             shed_requests: 0,
+            dropped_requests: 0,
             slo: None,
         }
     }

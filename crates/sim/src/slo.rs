@@ -220,9 +220,11 @@ pub struct SloReport {
     /// never below [`SloReport::final_queue_depth`].
     pub peak_queue_depth: usize,
     /// Requests unfinished when the run ended: forming, formed, in
-    /// service, or awaiting a retry. With the completed, shed and
-    /// dropped requests they account for every arrival. Growth beyond a
-    /// few batches signals an unstable (overloaded) regime.
+    /// service, or awaiting a retry. With the run's completed, shed and
+    /// dropped requests ([`SimReport`](crate::SimReport)'s totals, not
+    /// this ledger's post-warm-up counts) they account for every
+    /// arrival. Growth beyond a few batches signals an unstable
+    /// (overloaded) regime.
     pub final_queue_depth: usize,
     /// Batches whose results were corrupted by injected faults.
     pub corrupted_batches: usize,
