@@ -23,6 +23,22 @@
 //!   in order (accumulation over k-chunks deliberately rewrites its
 //!   output tile).
 //!
+//! Pending definitions live in a [`RegionMap`], so the settle-on-write
+//! discipline keeps them disjoint, and the two cases that dominate
+//! lowered programs — a write to exactly a pending region and a read
+//! inside one — cost one tree lookup each.
+//!
+//! The race scan sorts an epoch's accesses by `(offset, pc)` and, for
+//! each access, walks the later ones until they start past its end.
+//! Compute-against-compute overlaps are by far the most common (k-chunk
+//! matmuls re-reading one input or weight tile) and can never race, so
+//! a compute access walks only the epoch's DMA accesses, through an
+//! index of their sorted positions; a DMA access still walks every
+//! later access. The pairs skipped are exactly those with no DMA side,
+//! and each access still meets its partners in sorted order and stops
+//! at the same point, so the races found, and their order, are those of
+//! a scan over every later access.
+//!
 //! Regions past their buffer's capacity are flagged
 //! ([`Code::REGION_OUT_OF_BOUNDS`]), and tile-multiply operands smaller
 //! than the extents the instruction touches are suspicious
@@ -33,12 +49,11 @@
 //! still cover them.
 
 use crate::diag::{Code, Diagnostic, Span};
-use crate::intervals::IntervalSet;
+use crate::intervals::{IntervalSet, RegionMap};
 use equinox_arith::Encoding;
 use equinox_isa::instruction::{BufferKind, Region};
 use equinox_isa::validate::BufferBudget;
 use equinox_isa::{Instruction, Program};
-use std::collections::BTreeMap;
 
 /// SIMD register file capacity (§5's SRAM split: 5 MB).
 pub const SIMD_REGISTER_BYTES: u64 = 5 << 20;
@@ -87,10 +102,10 @@ enum DefKind {
     Compute,
 }
 
-/// One defining write whose bytes are still (partially) live.
+/// One defining write whose bytes are still (partially) live; the
+/// [`RegionMap`] span it sits on is its live region.
 #[derive(Debug, Clone, Copy)]
 struct DefRecord {
-    region: Region,
     kind: DefKind,
     pc: usize,
     read: bool,
@@ -108,13 +123,10 @@ struct Access {
 #[derive(Default)]
 struct BufferState {
     defined: IntervalSet,
-    /// Pending definitions indexed by byte offset (`region.offset` →
-    /// record). The settle-on-write discipline keeps them pairwise
-    /// disjoint, so every overlap query is one `range(..end)` walk that
-    /// stops at the first non-overlapping def — near-linear over whole
-    /// programs instead of the old full-scan-per-access `Vec`, which
-    /// went quadratic on the ~1.2 M-instruction training lowerings.
-    defs: BTreeMap<u64, DefRecord>,
+    /// Pending definitions, pairwise disjoint: every overlap query is
+    /// one backward walk from the region's end, near-linear over whole
+    /// programs.
+    defs: RegionMap<DefRecord>,
     epoch: Vec<Access>,
     oob_reported: bool,
 }
@@ -132,11 +144,18 @@ pub struct DataflowStats {
     pub visited_intervals: u64,
     /// High-water mark of simultaneously pending definitions.
     pub max_pending_defs: usize,
+    /// Same-epoch access pairs the race scan examined. Only pairs with
+    /// a DMA side are examined, so an epoch of compute accesses costs
+    /// none however much they overlap.
+    pub race_pairs: u64,
 }
 
 struct Analyzer<'a> {
     budget: &'a BufferBudget,
     state: [BufferState; 4],
+    /// Sorted positions of the closing epoch's DMA accesses, reused
+    /// across epochs and buffers.
+    dma: Vec<usize>,
     diags: Vec<Diagnostic>,
     stats: DataflowStats,
 }
@@ -160,16 +179,9 @@ impl Analyzer<'_> {
                 .with_span(Span::at(pc)),
             );
         }
-        // Defs are disjoint and start-sorted: walking `range(..end)`
-        // backward, the first def ending at or before `region.offset`
-        // proves every earlier def is disjoint too.
-        for (_, def) in s.defs.range_mut(..region.end()).rev() {
-            self.stats.visited_intervals += 1;
-            if def.region.end() <= region.offset {
-                break;
-            }
-            def.read = true;
-        }
+        let visited =
+            s.defs.for_each_overlap_mut(region.offset, region.end(), |_, _, def| def.read = true);
+        self.stats.visited_intervals += visited as u64;
         s.epoch.push(Access { region, pc, is_write: false, is_dma });
     }
 
@@ -201,115 +213,104 @@ impl Analyzer<'_> {
                 .with_span(Span::at(pc)),
             );
         }
-        // Settle every pending definition this write touches: collect
-        // the overlapping starts via the offset index (same backward
-        // walk as `read`), then remove and split each one. Everything
-        // outside `range(..end)` up to the break point is untouched.
-        let mut overlapping: Vec<u64> = Vec::new();
-        for (&start, def) in s.defs.range(..region.end()).rev() {
-            self.stats.visited_intervals += 1;
-            if def.region.end() <= region.offset {
-                break;
-            }
-            overlapping.push(start);
-        }
-        // Process in ascending start order, matching the old in-order
-        // `Vec` scan so diagnostic order is stable.
-        for &start in overlapping.iter().rev() {
-            let def = s.defs.remove(&start).expect("indexed def exists");
-            if region.contains(&def.region) {
+        // Settle every pending definition this write touches, in
+        // ascending start order.
+        let diags = &mut self.diags;
+        let record = DefRecord { kind: def_kind, pc, read: false };
+        let visited = s.defs.overwrite(region.offset, region.end(), record, |start, end, def| {
+            let settled = Region::new(start, end - start);
+            if region.contains(&settled) {
                 // Fully superseded. An unread DRAM load that never met a
                 // consumer was a wasted transfer.
                 if !def.read && def.kind == DefKind::Load {
-                    self.diags.push(
+                    diags.push(
                         Diagnostic::warning(
                             Code::DEAD_STORE,
                             format!(
-                                "load of {} into the {} is overwritten at instr {pc} \
+                                "load of {settled} into the {} is overwritten at instr {pc} \
                                  before anything reads it",
-                                def.region,
                                 buffer_name(kind)
                             ),
                         )
                         .with_span(Span::at(def.pc)),
                     );
                 }
-                continue;
-            }
-            // Partial overlap: the definition survives with a hole.
-            if !def.read {
-                self.diags.push(
+            } else if !def.read {
+                // Partial overlap: the definition survives with a hole.
+                diags.push(
                     Diagnostic::warning(
                         Code::PARTIAL_CLOBBER,
                         format!(
                             "write to {region} of the {} partially overwrites the live \
-                             region {} defined at instr {}",
+                             region {settled} defined at instr {}",
                             buffer_name(kind),
-                            def.region,
                             def.pc
                         ),
                     )
                     .with_span(Span::at(pc)),
                 );
             }
-            // Keep the surviving left/right remainders.
-            if def.region.offset < region.offset {
-                let left = Region::new(def.region.offset, region.offset - def.region.offset);
-                s.defs.insert(left.offset, DefRecord { region: left, ..def });
-            }
-            if def.region.end() > region.end() {
-                let right = Region::new(region.end(), def.region.end() - region.end());
-                s.defs.insert(right.offset, DefRecord { region: right, ..def });
-            }
-        }
-        s.defs.insert(region.offset, DefRecord { region, kind: def_kind, pc, read: false });
-        self.stats.visited_intervals += 1;
+        });
+        self.stats.visited_intervals += visited as u64 + 1;
         self.stats.max_pending_defs = self.stats.max_pending_defs.max(s.defs.len());
         s.defined.insert(region.offset, region.end());
         s.epoch.push(Access { region, pc, is_write: true, is_dma });
     }
 
     /// Closes the current epoch: flags overlapping accesses where a DMA
-    /// transfer races a write, then clears the epoch lists.
+    /// transfer races a write, then clears the epoch lists. Only pairs
+    /// with a DMA side are examined (see the module docs).
     fn close_epoch(&mut self) {
         for kind in BUFFERS {
             let s = &mut self.state[buffer_index(kind)];
             s.epoch.sort_by_key(|a| (a.region.offset, a.pc));
+            self.dma.clear();
+            self.dma.extend(s.epoch.iter().enumerate().filter(|(_, a)| a.is_dma).map(|(j, _)| j));
+            // The first DMA position after the current access.
+            let mut next_dma = 0;
             for i in 0..s.epoch.len() {
                 let a = s.epoch[i];
-                for j in (i + 1)..s.epoch.len() {
+                while next_dma < self.dma.len() && self.dma[next_dma] <= i {
+                    next_dma += 1;
+                }
+                let partners =
+                    if a.is_dma { i + 1..s.epoch.len() } else { next_dma..self.dma.len() };
+                for k in partners {
+                    let j = if a.is_dma { k } else { self.dma[k] };
                     let b = s.epoch[j];
+                    self.stats.race_pairs += 1;
                     if b.region.offset >= a.region.end() {
                         break;
                     }
-                    if (a.is_dma || b.is_dma)
-                        && (a.is_write || b.is_write)
-                        && a.region.overlaps(&b.region)
-                    {
-                        let (first, second) = if a.pc <= b.pc { (a, b) } else { (b, a) };
-                        self.diags.push(
-                            Diagnostic::error(
-                                Code::DMA_RACE,
-                                format!(
-                                    "in-flight DMA and a same-epoch {} touch overlapping \
-                                     bytes of the {} ({} at instr {} vs {} at instr {}); \
-                                     a Sync must separate them",
-                                    if second.is_write { "write" } else { "read" },
-                                    buffer_name(kind),
-                                    first.region,
-                                    first.pc,
-                                    second.region,
-                                    second.pc
-                                ),
-                            )
-                            .with_span(Span { start: first.pc, end: second.pc + 1 }),
-                        );
+                    if (a.is_write || b.is_write) && a.region.overlaps(&b.region) {
+                        self.diags.push(race(kind, a, b));
                     }
                 }
             }
             s.epoch.clear();
         }
     }
+}
+
+/// The [`Code::DMA_RACE`] error for two overlapping same-epoch accesses,
+/// at least one a DMA transfer and one a write.
+fn race(kind: BufferKind, a: Access, b: Access) -> Diagnostic {
+    let (first, second) = if a.pc <= b.pc { (a, b) } else { (b, a) };
+    Diagnostic::error(
+        Code::DMA_RACE,
+        format!(
+            "in-flight DMA and a same-epoch {} touch overlapping \
+             bytes of the {} ({} at instr {} vs {} at instr {}); \
+             a Sync must separate them",
+            if second.is_write { "write" } else { "read" },
+            buffer_name(kind),
+            first.region,
+            first.pc,
+            second.region,
+            second.pc
+        ),
+    )
+    .with_span(Span { start: first.pc, end: second.pc + 1 })
 }
 
 /// Runs the dataflow pass over `program`.
@@ -331,6 +332,7 @@ pub fn analyze_with_stats(
     let mut a = Analyzer {
         budget,
         state: Default::default(),
+        dma: Vec::new(),
         diags: Vec::new(),
         stats: DataflowStats::default(),
     };
@@ -394,14 +396,14 @@ pub fn analyze_with_stats(
     // Loads whose data never met a consumer.
     for kind in BUFFERS {
         let s = &a.state[buffer_index(kind)];
-        for def in s.defs.values() {
+        for (start, end, def) in s.defs.iter() {
             if def.kind == DefKind::Load && !def.read {
                 a.diags.push(
                     Diagnostic::warning(
                         Code::DEAD_STORE,
                         format!(
                             "load of {} into the {} is never consumed",
-                            def.region,
+                            Region::new(start, end - start),
                             buffer_name(kind)
                         ),
                     )
@@ -411,6 +413,321 @@ pub fn analyze_with_stats(
         }
     }
     (a.diags, a.stats)
+}
+
+/// The pass on plain data structures: a `BTreeMap` of pending
+/// definitions that collects every def a write settles into a fresh
+/// `Vec` and re-inserts its remainders, and a race scan over every
+/// later overlapping access, DMA or not. It is the specification the
+/// equivalence properties hold the pass to; its `race_pairs` counts the
+/// pairs that scan examines.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{
+        buffer_capacity, buffer_index, buffer_name, Access, DataflowStats, DefKind, BUFFERS,
+    };
+    use crate::diag::{Code, Diagnostic, Span};
+    use crate::intervals::IntervalSet;
+    use equinox_arith::Encoding;
+    use equinox_isa::instruction::{BufferKind, Region};
+    use equinox_isa::validate::BufferBudget;
+    use equinox_isa::{Instruction, Program};
+    use std::collections::BTreeMap;
+
+    /// One defining write whose bytes are still (partially) live.
+    #[derive(Debug, Clone, Copy)]
+    struct DefRecord {
+        region: Region,
+        kind: DefKind,
+        pc: usize,
+        read: bool,
+    }
+
+    #[derive(Default)]
+    struct BufferState {
+        defined: IntervalSet,
+        /// Pending definitions indexed by byte offset (`region.offset` →
+        /// record). The settle-on-write discipline keeps them pairwise
+        /// disjoint, so every overlap query is one `range(..end)` walk that
+        /// stops at the first non-overlapping def — near-linear over whole
+        /// programs instead of the old full-scan-per-access `Vec`, which
+        /// went quadratic on the ~1.2 M-instruction training lowerings.
+        defs: BTreeMap<u64, DefRecord>,
+        epoch: Vec<Access>,
+        oob_reported: bool,
+    }
+
+    struct Analyzer<'a> {
+        budget: &'a BufferBudget,
+        state: [BufferState; 4],
+        diags: Vec<Diagnostic>,
+        stats: DataflowStats,
+    }
+
+    impl Analyzer<'_> {
+        fn read(&mut self, kind: BufferKind, region: Region, pc: usize, is_dma: bool) {
+            if region.is_empty() {
+                return;
+            }
+            let s = &mut self.state[buffer_index(kind)];
+            if let Some((gap_start, gap_end)) = s.defined.first_gap(region.offset, region.end()) {
+                self.diags.push(
+                    Diagnostic::error(
+                        Code::USE_BEFORE_DEFINE,
+                        format!(
+                            "reads {region} of the {} but bytes [{gap_start:#x}..{gap_end:#x}) \
+                             were never defined",
+                            buffer_name(kind)
+                        ),
+                    )
+                    .with_span(Span::at(pc)),
+                );
+            }
+            // Defs are disjoint and start-sorted: walking `range(..end)`
+            // backward, the first def ending at or before `region.offset`
+            // proves every earlier def is disjoint too.
+            for (_, def) in s.defs.range_mut(..region.end()).rev() {
+                self.stats.visited_intervals += 1;
+                if def.region.end() <= region.offset {
+                    break;
+                }
+                def.read = true;
+            }
+            s.epoch.push(Access { region, pc, is_write: false, is_dma });
+        }
+
+        fn write(
+            &mut self,
+            kind: BufferKind,
+            region: Region,
+            pc: usize,
+            def_kind: DefKind,
+            is_dma: bool,
+        ) {
+            if region.is_empty() {
+                return;
+            }
+            let capacity = buffer_capacity(self.budget, kind);
+            let s = &mut self.state[buffer_index(kind)];
+            if region.end() > capacity && !s.oob_reported {
+                s.oob_reported = true;
+                self.diags.push(
+                    Diagnostic::error(
+                        Code::REGION_OUT_OF_BOUNDS,
+                        format!(
+                            "writes {region}, past the {} byte capacity of the {} \
+                             (further overruns of this buffer are not repeated)",
+                            capacity,
+                            buffer_name(kind)
+                        ),
+                    )
+                    .with_span(Span::at(pc)),
+                );
+            }
+            // Settle every pending definition this write touches: collect
+            // the overlapping starts via the offset index (same backward
+            // walk as `read`), then remove and split each one. Everything
+            // outside `range(..end)` up to the break point is untouched.
+            let mut overlapping: Vec<u64> = Vec::new();
+            for (&start, def) in s.defs.range(..region.end()).rev() {
+                self.stats.visited_intervals += 1;
+                if def.region.end() <= region.offset {
+                    break;
+                }
+                overlapping.push(start);
+            }
+            // Process in ascending start order, matching the old in-order
+            // `Vec` scan so diagnostic order is stable.
+            for &start in overlapping.iter().rev() {
+                let def = s.defs.remove(&start).expect("indexed def exists");
+                if region.contains(&def.region) {
+                    // Fully superseded. An unread DRAM load that never met a
+                    // consumer was a wasted transfer.
+                    if !def.read && def.kind == DefKind::Load {
+                        self.diags.push(
+                            Diagnostic::warning(
+                                Code::DEAD_STORE,
+                                format!(
+                                    "load of {} into the {} is overwritten at instr {pc} \
+                                     before anything reads it",
+                                    def.region,
+                                    buffer_name(kind)
+                                ),
+                            )
+                            .with_span(Span::at(def.pc)),
+                        );
+                    }
+                    continue;
+                }
+                // Partial overlap: the definition survives with a hole.
+                if !def.read {
+                    self.diags.push(
+                        Diagnostic::warning(
+                            Code::PARTIAL_CLOBBER,
+                            format!(
+                                "write to {region} of the {} partially overwrites the live \
+                                 region {} defined at instr {}",
+                                buffer_name(kind),
+                                def.region,
+                                def.pc
+                            ),
+                        )
+                        .with_span(Span::at(pc)),
+                    );
+                }
+                // Keep the surviving left/right remainders.
+                if def.region.offset < region.offset {
+                    let left = Region::new(def.region.offset, region.offset - def.region.offset);
+                    s.defs.insert(left.offset, DefRecord { region: left, ..def });
+                }
+                if def.region.end() > region.end() {
+                    let right = Region::new(region.end(), def.region.end() - region.end());
+                    s.defs.insert(right.offset, DefRecord { region: right, ..def });
+                }
+            }
+            s.defs.insert(region.offset, DefRecord { region, kind: def_kind, pc, read: false });
+            self.stats.visited_intervals += 1;
+            self.stats.max_pending_defs = self.stats.max_pending_defs.max(s.defs.len());
+            s.defined.insert(region.offset, region.end());
+            s.epoch.push(Access { region, pc, is_write: true, is_dma });
+        }
+
+        /// Closes the current epoch: flags overlapping accesses where a DMA
+        /// transfer races a write, then clears the epoch lists.
+        fn close_epoch(&mut self) {
+            for kind in BUFFERS {
+                let s = &mut self.state[buffer_index(kind)];
+                s.epoch.sort_by_key(|a| (a.region.offset, a.pc));
+                for i in 0..s.epoch.len() {
+                    let a = s.epoch[i];
+                    for j in (i + 1)..s.epoch.len() {
+                        let b = s.epoch[j];
+                        self.stats.race_pairs += 1;
+                        if b.region.offset >= a.region.end() {
+                            break;
+                        }
+                        if (a.is_dma || b.is_dma)
+                            && (a.is_write || b.is_write)
+                            && a.region.overlaps(&b.region)
+                        {
+                            let (first, second) = if a.pc <= b.pc { (a, b) } else { (b, a) };
+                            self.diags.push(
+                                Diagnostic::error(
+                                    Code::DMA_RACE,
+                                    format!(
+                                        "in-flight DMA and a same-epoch {} touch overlapping \
+                                         bytes of the {} ({} at instr {} vs {} at instr {}); \
+                                         a Sync must separate them",
+                                        if second.is_write { "write" } else { "read" },
+                                        buffer_name(kind),
+                                        first.region,
+                                        first.pc,
+                                        second.region,
+                                        second.pc
+                                    ),
+                                )
+                                .with_span(Span { start: first.pc, end: second.pc + 1 }),
+                            );
+                        }
+                    }
+                }
+                s.epoch.clear();
+            }
+        }
+    }
+
+    /// [`analyze`], additionally returning the pass's work counters (the
+    /// scaling regression test asserts near-linearity on them).
+    pub(crate) fn analyze_with_stats(
+        program: &Program,
+        budget: &BufferBudget,
+        encoding: Encoding,
+    ) -> (Vec<Diagnostic>, DataflowStats) {
+        let bpv = encoding.bytes_per_value() as u64;
+        let mut a = Analyzer {
+            budget,
+            state: Default::default(),
+            diags: Vec::new(),
+            stats: DataflowStats::default(),
+        };
+        a.stats.instructions = program.instructions().len() as u64;
+
+        for (pc, instr) in program.instructions().iter().enumerate() {
+            match *instr {
+                Instruction::LoadDram { target, region } => {
+                    a.write(target, region, pc, DefKind::Load, true);
+                }
+                Instruction::StoreDram { source, region } => {
+                    a.read(source, region, pc, true);
+                }
+                Instruction::MatMulTile {
+                    rows, k_span, out_span, weights, input, output, ..
+                } => {
+                    let weight_need = k_span as u64 * out_span as u64 * bpv;
+                    if !weights.is_empty() && weights.bytes < weight_need {
+                        a.diags.push(
+                            Diagnostic::warning(
+                                Code::UNDERSIZED_OPERAND,
+                                format!(
+                                    "weight operand {weights} holds fewer bytes than the \
+                                     {k_span}×{out_span} tile needs ({weight_need})"
+                                ),
+                            )
+                            .with_span(Span::at(pc)),
+                        );
+                    }
+                    let out_need = rows as u64 * out_span as u64 * bpv;
+                    if !output.is_empty() && output.bytes < out_need {
+                        a.diags.push(
+                            Diagnostic::warning(
+                                Code::UNDERSIZED_OPERAND,
+                                format!(
+                                    "output operand {output} holds fewer bytes than the \
+                                     {rows}×{out_span} result needs ({out_need})"
+                                ),
+                            )
+                            .with_span(Span::at(pc)),
+                        );
+                    }
+                    a.read(BufferKind::Weight, weights, pc, false);
+                    // The input region is not checked for size: lowered
+                    // convolutions stage a compressed window the im2col unit
+                    // expands on the fly (§3.1).
+                    a.read(BufferKind::Activation, input, pc, false);
+                    a.write(BufferKind::Activation, output, pc, DefKind::Compute, false);
+                }
+                Instruction::Simd { region, .. } => {
+                    // In-place read-modify-write on the activation buffer.
+                    a.read(BufferKind::Activation, region, pc, false);
+                    a.write(BufferKind::Activation, region, pc, DefKind::Compute, false);
+                }
+                Instruction::Sync => a.close_epoch(),
+                Instruction::HostIo { .. } => {}
+            }
+        }
+        a.close_epoch();
+
+        // Loads whose data never met a consumer.
+        for kind in BUFFERS {
+            let s = &a.state[buffer_index(kind)];
+            for def in s.defs.values() {
+                if def.kind == DefKind::Load && !def.read {
+                    a.diags.push(
+                        Diagnostic::warning(
+                            Code::DEAD_STORE,
+                            format!(
+                                "load of {} into the {} is never consumed",
+                                def.region,
+                                buffer_name(kind)
+                            ),
+                        )
+                        .with_span(Span::at(def.pc)),
+                    );
+                }
+            }
+        }
+        (a.diags, a.stats)
+    }
 }
 
 #[cfg(test)]
@@ -471,6 +788,55 @@ mod tests {
             s1.visited_intervals,
             s4.visited_intervals
         );
+    }
+
+    /// A compute read of `input`: a tile multiply with no other operand.
+    fn compute_read(input: Region) -> Instruction {
+        Instruction::MatMulTile {
+            rows: 1,
+            k_span: 1,
+            out_span: 1,
+            mode: GemmMode::VectorMatrix,
+            weights: Region::unaddressed(),
+            input,
+            output: Region::unaddressed(),
+        }
+    }
+
+    #[test]
+    fn race_scan_examines_only_pairs_with_a_dma_side() {
+        const N: u64 = 48;
+        let tile = Region::new(0, 256);
+        let races = |d: &[Diagnostic]| d.iter().filter(|d| d.code == Code::DMA_RACE).count() as u64;
+
+        // One epoch of N compute reads of one tile: nothing can race,
+        // so nothing is examined; the reference scan walks every pair.
+        let mut p = Program::new("reads");
+        p.extend([load(0, 256), Instruction::Sync]);
+        p.extend((0..N).map(|_| compute_read(tile)));
+        let (d, stats) = analyze_with_stats(&p, &budget(), Encoding::Hbfp8);
+        let (ref_d, ref_stats) = reference::analyze_with_stats(&p, &budget(), Encoding::Hbfp8);
+        assert!(d.is_empty(), "{d:?}");
+        assert!(ref_d.is_empty(), "{ref_d:?}");
+        assert_eq!(stats.race_pairs, 0);
+        assert_eq!(ref_stats.race_pairs, N * (N - 1) / 2);
+
+        // One DMA load of the tile in the same epoch, sorting after
+        // every read (a later pc) or before them (an earlier one): at
+        // most N pairs, and every read races it.
+        let mut after = Program::new("load-after");
+        after.extend([load(0, 256), Instruction::Sync]);
+        after.extend((0..N).map(|_| compute_read(tile)));
+        after.extend([load(0, 256), Instruction::Sync, store(0, 256)]);
+        let mut before = Program::new("load-before");
+        before.push(load(0, 256));
+        before.extend((0..N).map(|_| compute_read(tile)));
+        for p in [after, before] {
+            let (d, stats) = analyze_with_stats(&p, &budget(), Encoding::Hbfp8);
+            assert!(stats.race_pairs <= N, "{}: {} pairs", p.name(), stats.race_pairs);
+            assert_eq!(races(&d), N, "{}: {d:?}", p.name());
+            assert_eq!(d, reference::analyze_with_stats(&p, &budget(), Encoding::Hbfp8).0);
+        }
     }
 
     #[test]

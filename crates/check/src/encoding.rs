@@ -7,19 +7,29 @@
 //! encode→decode and reports any mismatch — including genuine lossy
 //! encodings, such as `MatMulTile` row counts or region offsets that
 //! truncate through the 32-bit operand fields.
+//!
+//! Each instruction is encoded and decoded on its own, so one bad
+//! instruction cannot shift the words of the next. The pass reuses one
+//! word buffer and one instruction buffer throughout
+//! ([`encode_into`], [`decode_into`]), so a round trip allocates
+//! nothing.
 
 use crate::diag::{Code, Diagnostic, Span};
-use equinox_isa::encode::{decode, encode, DecodeError};
+use equinox_isa::encode::{decode, decode_into, encode_into, DecodeError, INSTRUCTION_BYTES};
 use equinox_isa::Program;
 
 /// Round-trips every instruction of `program` through the wire format.
 pub fn analyze(program: &Program) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let mut words = Vec::with_capacity(3 * INSTRUCTION_BYTES);
+    let mut decoded = Vec::with_capacity(1);
     for (index, instr) in program.instructions().iter().enumerate() {
-        let words = encode(std::slice::from_ref(instr));
-        match decode(&words) {
-            Ok(decoded) if decoded.len() == 1 && decoded[0] == *instr => {}
-            Ok(decoded) => {
+        words.clear();
+        encode_into(&mut words, instr);
+        decoded.clear();
+        match decode_into(&words, &mut decoded) {
+            Ok(()) if decoded.len() == 1 && decoded[0] == *instr => {}
+            Ok(()) => {
                 diags.push(
                     Diagnostic::error(
                         Code::ROUND_TRIP_MISMATCH,
@@ -55,9 +65,7 @@ pub fn analyze(program: &Program) -> Vec<Diagnostic> {
 pub fn decode_stream(bytes: &[u8]) -> Result<Vec<equinox_isa::Instruction>, Diagnostic> {
     decode(bytes).map_err(|e| {
         let span = match e {
-            DecodeError::TruncatedWord { .. } => {
-                Span::at(bytes.len() / equinox_isa::encode::INSTRUCTION_BYTES)
-            }
+            DecodeError::TruncatedWord { .. } => Span::at(bytes.len() / INSTRUCTION_BYTES),
             DecodeError::UnknownOpcode { index, .. }
             | DecodeError::UnknownModifier { index, .. }
             | DecodeError::MissingOperandWord { index }
@@ -67,9 +75,54 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<equinox_isa::Instruction>, Diag
     })
 }
 
+/// The pass with a fresh `encode` and `decode` per instruction, three
+/// allocations each. It is the specification the equivalence properties
+/// hold the pass to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::diag::{Code, Diagnostic, Span};
+    use equinox_isa::encode::{decode, encode};
+    use equinox_isa::Program;
+
+    /// Round-trips every instruction of `program` through the wire format.
+    pub(crate) fn analyze(program: &Program) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        for (index, instr) in program.instructions().iter().enumerate() {
+            let words = encode(std::slice::from_ref(instr));
+            match decode(&words) {
+                Ok(decoded) if decoded.len() == 1 && decoded[0] == *instr => {}
+                Ok(decoded) => {
+                    diags.push(
+                        Diagnostic::error(
+                            Code::ROUND_TRIP_MISMATCH,
+                            format!(
+                                "instruction {instr:?} decodes back as {:?}; the wire \
+                                 format loses information",
+                                decoded.first()
+                            ),
+                        )
+                        .with_span(Span::at(index)),
+                    );
+                }
+                Err(e) => {
+                    diags.push(
+                        Diagnostic::error(
+                            Code::DECODE_ERROR,
+                            format!("own encoding fails to decode: {e}"),
+                        )
+                        .with_span(Span::at(index)),
+                    );
+                }
+            }
+        }
+        diags
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use equinox_isa::encode::encode;
     use equinox_isa::instruction::{BufferKind, Region, SimdOpKind};
     use equinox_isa::layers::GemmMode;
     use equinox_isa::Instruction;

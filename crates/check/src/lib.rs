@@ -72,6 +72,8 @@ pub mod config;
 pub mod dataflow;
 pub mod diag;
 pub mod encoding;
+#[cfg(test)]
+mod equivalence;
 pub mod interconnect;
 pub mod intervals;
 pub mod numerics;

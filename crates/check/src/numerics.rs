@@ -54,11 +54,18 @@
 //!   (EQX0801/0805) does **not** depend on it: mantissa magnitudes are
 //!   pinned at the quantizer's hard 127 bound, which is exact.
 //!
+//! Each buffer's values sit on the disjoint spans of a
+//! [`RegionMap`]: a write trims whatever it overlaps, and a read joins
+//! every value it overlaps, plus the fresh default when some of its
+//! bytes hold none. An exact overwrite and a read inside one span —
+//! nearly every access of a lowered program — cost one lookup each.
+//!
 //! The pass is meaningful only for [`Encoding::Hbfp8`]: bf16 designs
 //! accumulate in fp32 and have no shared-exponent blocks, so the
 //! library entry points skip it for other encodings.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
+use crate::intervals::RegionMap;
 use equinox_arith::{Accumulator25, Encoding, HbfpSpec};
 use equinox_isa::instruction::{BufferKind, Region, SimdOpKind};
 use equinox_isa::{Instruction, Program};
@@ -173,44 +180,28 @@ pub struct NumericsSummary {
     pub matmul_count: usize,
 }
 
-/// Per-[`BufferKind`] interval map from byte ranges to abstract values.
-/// Writes trim overlapped intervals; reads join every overlapping value
-/// (plus the fresh default when bytes are uncovered).
-#[derive(Debug, Default)]
-struct BufferState {
-    /// `start → (end, value)`, non-overlapping.
-    spans: BTreeMap<u64, (u64, AbstractTensor)>,
+/// What the pass needs of one buffer's abstract state. The tests also
+/// run the pass over a reference implementation of it.
+trait AbstractBuffer: Default {
+    /// Installs `v` on `r`, trimming whatever it overlaps.
+    fn write(&mut self, r: Region, v: AbstractTensor);
+
+    /// The join of every value overlapping `r`, and of `default` when
+    /// some byte of `r` holds none.
+    fn read(&self, r: Region, default: AbstractTensor) -> AbstractTensor;
 }
 
-impl BufferState {
-    /// Start key of the first span that could overlap `r`: spans are
-    /// non-overlapping, so only the last span starting at or before
-    /// `r.offset` can reach past it — scanning from there keeps every
-    /// operation O(log n + overlaps) instead of O(spans).
-    fn first_candidate(&self, r: Region) -> u64 {
-        self.spans.range(..=r.offset).next_back().map_or(r.offset, |(&start, _)| start)
-    }
+/// One [`BufferKind`]'s abstract values (see the module docs).
+#[derive(Debug, Default)]
+struct BufferState {
+    spans: RegionMap<AbstractTensor>,
+}
 
+impl AbstractBuffer for BufferState {
     fn write(&mut self, r: Region, v: AbstractTensor) {
-        if r.is_empty() {
-            return;
+        if !r.is_empty() {
+            self.spans.overwrite(r.offset, r.end(), v, |_, _, _| {});
         }
-        let overlapping: Vec<u64> = self
-            .spans
-            .range(self.first_candidate(r)..r.end())
-            .filter(|&(_, &(end, _))| end > r.offset)
-            .map(|(&start, _)| start)
-            .collect();
-        for start in overlapping {
-            let (end, old) = self.spans.remove(&start).expect("key just listed");
-            if start < r.offset {
-                self.spans.insert(start, (r.offset, old));
-            }
-            if end > r.end() {
-                self.spans.insert(r.end(), (end, old));
-            }
-        }
-        self.spans.insert(r.offset, (r.end(), v));
     }
 
     fn read(&self, r: Region, default: AbstractTensor) -> AbstractTensor {
@@ -219,12 +210,10 @@ impl BufferState {
         }
         let mut acc: Option<AbstractTensor> = None;
         let mut covered = 0u64;
-        for (&start, &(end, v)) in self.spans.range(self.first_candidate(r)..r.end()) {
-            if end > r.offset {
-                acc = Some(acc.map_or(v, |a| a.join(v)));
-                covered += end.min(r.end()) - start.max(r.offset);
-            }
-        }
+        self.spans.for_each_overlap(r.offset, r.end(), |start, end, &v| {
+            acc = Some(acc.map_or(v, |a| a.join(v)));
+            covered += end.min(r.end()) - start.max(r.offset);
+        });
         match acc {
             Some(a) if covered >= r.bytes => a,
             Some(a) => a.join(default),
@@ -312,6 +301,16 @@ pub fn analyze(
     encoding: Encoding,
     options: &NumericsOptions,
 ) -> NumericsSummary {
+    analyze_over::<BufferState>(report, program, encoding, options)
+}
+
+/// [`analyze`] over the buffer state `B`.
+fn analyze_over<B: AbstractBuffer>(
+    report: &mut Report,
+    program: &Program,
+    encoding: Encoding,
+    options: &NumericsOptions,
+) -> NumericsSummary {
     let spec = HbfpSpec::hbfp8();
     let mut analysis = Analysis {
         magnitude_bits: spec.mantissa_bits - 1,
@@ -328,8 +327,8 @@ pub fn analyze(
         spread_bits: options.input_spread_bits,
     };
     let bpv = (encoding.bytes_per_value() as u64).max(1);
-    let mut activations = BufferState::default();
-    let mut weights = BufferState::default();
+    let mut activations = B::default();
+    let mut weights = B::default();
 
     for (index, instr) in program.instructions().iter().enumerate() {
         match *instr {
@@ -475,6 +474,92 @@ pub fn compute_numerics(
 ) -> NumericsSummary {
     let mut report = Report::new(program.name().to_string());
     analyze(&mut report, program, encoding, options)
+}
+
+/// The buffer state on a plain `BTreeMap`: it finds the first candidate
+/// span with one descent and the overlaps with another, and collects
+/// every overwritten span into a fresh `Vec`. It is the specification
+/// the equivalence properties hold the pass to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{AbstractBuffer, AbstractTensor, NumericsOptions, NumericsSummary};
+    use crate::diag::Report;
+    use equinox_arith::Encoding;
+    use equinox_isa::instruction::Region;
+    use equinox_isa::Program;
+    use std::collections::BTreeMap;
+
+    /// Per-buffer interval map from byte ranges to abstract values.
+    /// Writes trim overlapped intervals; reads join every overlapping value
+    /// (plus the fresh default when bytes are uncovered).
+    #[derive(Debug, Default)]
+    pub(crate) struct BufferState {
+        /// `start → (end, value)`, non-overlapping.
+        spans: BTreeMap<u64, (u64, AbstractTensor)>,
+    }
+
+    impl BufferState {
+        /// Start key of the first span that could overlap `r`: spans are
+        /// non-overlapping, so only the last span starting at or before
+        /// `r.offset` can reach past it — scanning from there keeps every
+        /// operation O(log n + overlaps) instead of O(spans).
+        fn first_candidate(&self, r: Region) -> u64 {
+            self.spans.range(..=r.offset).next_back().map_or(r.offset, |(&start, _)| start)
+        }
+    }
+
+    impl AbstractBuffer for BufferState {
+        fn write(&mut self, r: Region, v: AbstractTensor) {
+            if r.is_empty() {
+                return;
+            }
+            let overlapping: Vec<u64> = self
+                .spans
+                .range(self.first_candidate(r)..r.end())
+                .filter(|&(_, &(end, _))| end > r.offset)
+                .map(|(&start, _)| start)
+                .collect();
+            for start in overlapping {
+                let (end, old) = self.spans.remove(&start).expect("key just listed");
+                if start < r.offset {
+                    self.spans.insert(start, (r.offset, old));
+                }
+                if end > r.end() {
+                    self.spans.insert(r.end(), (end, old));
+                }
+            }
+            self.spans.insert(r.offset, (r.end(), v));
+        }
+
+        fn read(&self, r: Region, default: AbstractTensor) -> AbstractTensor {
+            if r.is_empty() {
+                return default;
+            }
+            let mut acc: Option<AbstractTensor> = None;
+            let mut covered = 0u64;
+            for (&start, &(end, v)) in self.spans.range(self.first_candidate(r)..r.end()) {
+                if end > r.offset {
+                    acc = Some(acc.map_or(v, |a| a.join(v)));
+                    covered += end.min(r.end()) - start.max(r.offset);
+                }
+            }
+            match acc {
+                Some(a) if covered >= r.bytes => a,
+                Some(a) => a.join(default),
+                None => default,
+            }
+        }
+    }
+
+    /// The pass over the reference buffer state.
+    pub(crate) fn analyze(
+        report: &mut Report,
+        program: &Program,
+        encoding: Encoding,
+        options: &NumericsOptions,
+    ) -> NumericsSummary {
+        super::analyze_over::<BufferState>(report, program, encoding, options)
+    }
 }
 
 #[cfg(test)]

@@ -84,6 +84,13 @@ pub(crate) struct Router<'a> {
     policy: RoutingPolicy,
     /// Estimated outstanding work per device, seconds.
     backlog_s: Vec<f64>,
+    /// Backlog below which `TrainingAware` prefers each device, seconds:
+    /// `busy_cap_batches` of its batch service time, or −∞ for a
+    /// harvesting device, which is never preferred. Empty under the
+    /// other policies.
+    preferred_below_s: Vec<f64>,
+    /// One request's service seconds per device (its backlog charge).
+    work_per_request_s: Vec<f64>,
     /// Timestamp of the last backlog decay, seconds.
     last_s: f64,
     /// Round-robin cursor.
@@ -96,10 +103,25 @@ impl<'a> Router<'a> {
     /// A router over `devices` with the policy's randomness seeded from
     /// the dedicated router stream.
     pub(crate) fn new(devices: &'a [DeviceSpec], policy: RoutingPolicy, seed: u64) -> Self {
+        let preferred_below_s = match policy {
+            RoutingPolicy::TrainingAware { busy_cap_batches } => devices
+                .iter()
+                .map(|d| {
+                    if d.harvests() {
+                        f64::NEG_INFINITY
+                    } else {
+                        busy_cap_batches * d.service_time_s()
+                    }
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
         Router {
             devices,
             policy,
             backlog_s: vec![0.0; devices.len()],
+            preferred_below_s,
+            work_per_request_s: devices.iter().map(DeviceSpec::work_per_request_s).collect(),
             last_s: 0.0,
             cursor: 0,
             rng: SplitMix64::seed_from_u64(seed),
@@ -161,12 +183,11 @@ impl<'a> Router<'a> {
                 // least_of needs ascending candidates for the tie-break.
                 self.least_of([active[lo], active[hi]].into_iter()).expect("two candidates")
             }
-            RoutingPolicy::TrainingAware { busy_cap_batches } => {
-                let preferred = active.iter().copied().filter(|&d| {
-                    !self.devices[d].harvests()
-                        && self.backlog_s[d]
-                            < busy_cap_batches * self.devices[d].service_time_s()
-                });
+            RoutingPolicy::TrainingAware { .. } => {
+                let preferred = active
+                    .iter()
+                    .copied()
+                    .filter(|&d| self.backlog_s[d] < self.preferred_below_s[d]);
                 self.least_of(preferred)
                     .or_else(|| self.least_of(active.iter().copied()))
                     .expect("fleet is non-empty")
@@ -177,7 +198,7 @@ impl<'a> Router<'a> {
     /// Charges one request's worth of service seconds to `d`'s backlog
     /// estimate (called once the request is actually dispatched).
     pub(crate) fn charge(&mut self, d: usize) {
-        self.backlog_s[d] += self.devices[d].work_per_request_s();
+        self.backlog_s[d] += self.work_per_request_s[d];
     }
 
     /// Routes one request arriving at `t_s` seconds with every device

@@ -151,8 +151,8 @@ fn put_u32(w: &mut [u8; INSTRUCTION_BYTES], offset: usize, value: u32) {
     w[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
 }
 
-/// Appends the word(s) for one instruction.
-fn encode_into(out: &mut Vec<u8>, instruction: &Instruction) {
+/// Appends the word(s) for one instruction to `out`.
+pub fn encode_into(out: &mut Vec<u8>, instruction: &Instruction) {
     let mut w = [0u8; INSTRUCTION_BYTES];
     match *instruction {
         Instruction::MatMulTile { rows, k_span, out_span, mode, weights, input, output } => {
@@ -233,20 +233,32 @@ pub fn encode(instructions: &[Instruction]) -> Vec<u8> {
 /// Returns [`DecodeError`] for truncated input, unknown opcodes,
 /// unknown modifiers, or detached/missing operand-extension words.
 pub fn decode(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
+    let mut out = Vec::with_capacity(bytes.len() / INSTRUCTION_BYTES);
+    decode_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Decodes a byte stream, appending the instructions to `out`, so a
+/// caller that decodes many streams can reuse one buffer. The words are
+/// read in place.
+///
+/// # Errors
+///
+/// As [`decode`]; `out` then also holds the instructions decoded before
+/// the malformed word.
+pub fn decode_into(bytes: &[u8], out: &mut Vec<Instruction>) -> Result<(), DecodeError> {
     if !bytes.len().is_multiple_of(INSTRUCTION_BYTES) {
         return Err(DecodeError::TruncatedWord { remainder: bytes.len() % INSTRUCTION_BYTES });
     }
-    let words: Vec<&[u8]> = bytes.chunks_exact(INSTRUCTION_BYTES).collect();
-    let mut out = Vec::with_capacity(words.len());
+    let words = bytes.len() / INSTRUCTION_BYTES;
+    let word = |index: usize| &bytes[index * INSTRUCTION_BYTES..(index + 1) * INSTRUCTION_BYTES];
+    let u32_at = |w: &[u8], o: usize| u32::from_le_bytes(w[o..o + 4].try_into().expect("4 bytes"));
+    let u64_at = |w: &[u8], o: usize| u64::from_le_bytes(w[o..o + 8].try_into().expect("8 bytes"));
     let mut index = 0;
-    while index < words.len() {
-        let w = words[index];
+    while index < words {
+        let w = word(index);
         let opcode = w[0];
         let modifier = w[1];
-        let u32_at =
-            |w: &[u8], o: usize| u32::from_le_bytes(w[o..o + 4].try_into().expect("4 bytes"));
-        let u64_at =
-            |w: &[u8], o: usize| u64::from_le_bytes(w[o..o + 8].try_into().expect("8 bytes"));
         let instr = match opcode {
             OP_MATMUL => {
                 let mode = match modifier {
@@ -254,9 +266,10 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
                     1 => GemmMode::WeightBroadcast,
                     _ => return Err(DecodeError::UnknownModifier { opcode, modifier, index }),
                 };
-                let (Some(b), Some(c)) = (words.get(index + 1), words.get(index + 2)) else {
+                if index + 2 >= words {
                     return Err(DecodeError::MissingOperandWord { index });
-                };
+                }
+                let (b, c) = (word(index + 1), word(index + 2));
                 if b[0] != OP_MATMUL_OPS || b[1] != 0 || c[0] != OP_MATMUL_OPS || c[1] != 1 {
                     return Err(DecodeError::MissingOperandWord { index });
                 }
@@ -296,7 +309,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
         out.push(instr);
         index += 1;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -342,6 +355,23 @@ mod tests {
         let words: usize = instrs.iter().map(Instruction::encoded_words).sum();
         assert_eq!(bytes.len(), words * INSTRUCTION_BYTES);
         assert_eq!(decode(&bytes).expect("valid stream"), instrs);
+    }
+
+    #[test]
+    fn decode_into_appends_to_a_reused_buffer() {
+        let instrs = sample_instructions();
+        let bytes = encode(&instrs);
+        let mut out = vec![Instruction::Sync];
+        decode_into(&bytes, &mut out).expect("valid stream");
+        assert_eq!(out[0], Instruction::Sync);
+        assert_eq!(&out[1..], &instrs[..]);
+        // On a malformed word, the instructions before it stay.
+        let mut bad = encode(&instrs[..2]);
+        bad.extend_from_slice(&[0xEE; INSTRUCTION_BYTES]);
+        out.clear();
+        let err = decode_into(&bad, &mut out).unwrap_err();
+        assert_eq!(err, DecodeError::UnknownOpcode { opcode: 0xEE, index: 6 });
+        assert_eq!(out, &instrs[..2]);
     }
 
     #[test]
