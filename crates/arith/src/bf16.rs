@@ -118,15 +118,6 @@ impl std::fmt::Display for Bf16 {
     }
 }
 
-/// Rounds every element of a slice to bfloat16 precision, in place
-/// semantics on a copy: returns the rounded values as `f32`.
-///
-/// This is the "pass through the SIMD unit" operation used by the hbfp8
-/// datapath between the MMU output and the activation buffer.
-pub fn round_slice_to_bf16(values: &[f32]) -> Vec<f32> {
-    values.iter().map(|&v| Bf16::from_f32(v).to_f32()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

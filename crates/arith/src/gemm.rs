@@ -32,10 +32,10 @@
 //!   scale `2^(ea+eb)` is built from its exponent bits, which equals
 //!   `exp2` bit for bit.
 //!
-//! Large multiplications run row-tiled across the `equinox-par`
-//! work-stealing pool: each output row is computed by exactly the same
-//! scalar loop as the serial path (accumulation order within a row is
-//! untouched), so results are bitwise identical at any thread count.
+//! Every kernel runs serially on the calling thread. Training is
+//! parallel one level up, one whole training run per pool task (see
+//! `equinox_core::experiments::fig2`), so the bits never depend on the
+//! thread count.
 
 use crate::bf16::Bf16;
 use crate::convert::matrix_to_bf16;
@@ -43,40 +43,17 @@ use crate::fixed::{Accumulator25, Q8};
 use crate::hbfp::{pow2, BlockAxis, HbfpMatrix, HbfpSpec};
 use crate::matrix::Matrix;
 
-/// Below this many MACs a GEMM is not worth fanning out: thread startup
-/// would dominate the arithmetic.
-const PARALLEL_MIN_MACS: u64 = 1 << 16;
-
 /// Adjacent outputs the fp32 kernel accumulates at once, one
 /// accumulator each.
 const LANES: usize = 8;
 
-/// Computes an `m×n` output by filling each row with `fill(i, row)`,
-/// row-tiled over the parallel pool when the work is large enough.
-/// `fill` must be a pure function of the row index for the determinism
-/// contract to hold (every kernel below satisfies this).
-fn fill_rows_tiled(m: usize, n: usize, macs: u64, fill: impl Fn(usize, &mut [f32]) + Sync) -> Matrix {
-    let threads = equinox_par::thread_count();
-    if threads <= 1 || m < 2 || macs < PARALLEL_MIN_MACS {
-        let mut data = vec![0.0f32; m * n];
-        for (i, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
-            fill(i, row);
-        }
-        return Matrix::from_vec(m, n, data);
+/// Computes an `m×n` output by filling each row with `fill(i, row)`.
+fn fill_rows(m: usize, n: usize, fill: impl Fn(usize, &mut [f32])) -> Matrix {
+    let mut data = vec![0.0f32; m * n];
+    for (i, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+        fill(i, row);
     }
-    // Over-partition (4 blocks per worker) so stealing can level uneven
-    // progress; blocks are glued back in index order.
-    let blocks = (threads * 4).min(m);
-    let ranges: Vec<(usize, usize)> =
-        (0..blocks).map(|b| (m * b / blocks, m * (b + 1) / blocks)).collect();
-    let parts: Vec<Vec<f32>> = equinox_par::parallel_map(ranges, |(lo, hi)| {
-        let mut part = vec![0.0f32; (hi - lo) * n];
-        for (off, row) in part.chunks_exact_mut(n.max(1)).enumerate() {
-            fill(lo + off, row);
-        }
-        part
-    });
-    Matrix::from_vec(m, n, parts.concat())
+    Matrix::from_vec(m, n, data)
 }
 
 /// Configuration of the hbfp8 GEMM datapath model.
@@ -124,8 +101,8 @@ fn check_shapes(a: &Matrix, b: &Matrix) {
 /// ```
 pub fn gemm_f32(a: &Matrix, b: &Matrix) -> Matrix {
     check_shapes(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    fill_rows_tiled(m, n, gemm_macs(m, k, n), |i, row| {
+    let n = b.cols();
+    fill_rows(a.rows(), n, |i, row| {
         let arow = a.row(i);
         let mut groups = row.chunks_exact_mut(LANES);
         for (g, out) in groups.by_ref().enumerate() {
@@ -182,53 +159,16 @@ pub fn gemm_hbfp(a: &Matrix, b: &Matrix, config: &HbfpGemmConfig) -> Matrix {
     check_shapes(a, b);
     let qa = HbfpMatrix::quantize(a, BlockAxis::Row, config.spec);
     let qb = HbfpMatrix::quantize(b, BlockAxis::Col, config.spec);
-    gemm_hbfp_prequantized(&qa, &qb, config)
-}
-
-/// hbfp8 GEMM over operands that are already quantized.
-///
-/// [`gemm_hbfp`] quantizes both operands on every call and then runs
-/// this. Nothing outside this crate calls it: the trainer's backends
-/// take dense matrices, so weights are quantized again for every
-/// product.
-///
-/// # Panics
-///
-/// Panics if the shapes mismatch, the blocking axes are not
-/// row-for-`a` / column-for-`b`, or the operands' blocks along k differ
-/// in length.
-pub fn gemm_hbfp_prequantized(
-    a: &HbfpMatrix,
-    b: &HbfpMatrix,
-    config: &HbfpGemmConfig,
-) -> Matrix {
-    assert_eq!(a.axis(), BlockAxis::Row, "left operand must be row-blocked");
-    assert_eq!(b.axis(), BlockAxis::Col, "right operand must be column-blocked");
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "GEMM shape mismatch: a is {}x{}, b is {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let block = a.spec().block_size.min(k).max(1);
-    assert_eq!(
-        block,
-        b.spec().block_size.min(k).max(1),
-        "block length mismatch between operands"
-    );
+    let block = config.spec.block_size.min(a.cols()).max(1);
     let exact = block as u64 <= Accumulator25::safe_chain_depth(128, 128);
-    fill_rows_tiled(m, n, gemm_macs(m, k, n), |i, row| {
-        let (qa, exps_a) = a.lane(i);
+    fill_rows(a.rows(), b.cols(), |i, row| {
+        let (ma, exps_a) = qa.lane(i);
         for (j, out) in row.iter_mut().enumerate() {
-            let (qb, exps_b) = b.lane(j);
+            let (mb, exps_b) = qb.lane(j);
             // fp32 across-block accumulation (the "x instructions that add
             // intermediate output tiles").
             let mut acc = 0.0f32;
-            let pairs = qa.chunks(block).zip(qb.chunks(block));
+            let pairs = ma.chunks(block).zip(mb.chunks(block));
             for ((xa, xb), (&ea, &eb)) in pairs.zip(exps_a.iter().zip(exps_b)) {
                 acc += block_dot(xa, xb, exact) as f32 * pow2(ea + eb);
             }
@@ -409,23 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn hbfp_prequantized_matches_oneshot() {
-        let (a, b) = test_matrices(5, 24, 6, 11);
-        let cfg = HbfpGemmConfig::default();
-        let qa = HbfpMatrix::quantize(&a, BlockAxis::Row, cfg.spec);
-        let qb = HbfpMatrix::quantize(&b, BlockAxis::Col, cfg.spec);
-        assert_eq!(gemm_hbfp(&a, &b, &cfg), gemm_hbfp_prequantized(&qa, &qb, &cfg));
-    }
-
-    #[test]
-    #[should_panic(expected = "row-blocked")]
-    fn prequantized_wrong_axis_panics() {
-        let m = Matrix::zeros(4, 4);
-        let q = HbfpMatrix::quantize(&m, BlockAxis::Col, HbfpSpec::hbfp8());
-        gemm_hbfp_prequantized(&q, &q, &HbfpGemmConfig::default());
-    }
-
-    #[test]
     fn bf16_output_rounding_applied() {
         let (a, b) = test_matrices(4, 16, 4, 3);
         let cfg = HbfpGemmConfig::default();
@@ -433,22 +356,6 @@ mod tests {
         for &v in out.as_slice() {
             assert_eq!(v, Bf16::from_f32(v).to_f32(), "output must be bf16-representable");
         }
-    }
-
-    #[test]
-    fn parallel_rows_bitwise_identical_to_serial() {
-        // Large enough to cross PARALLEL_MIN_MACS and odd-shaped so the
-        // row blocks are uneven.
-        let (a, b) = test_matrices(97, 130, 33, 5);
-        let cfg = HbfpGemmConfig::default();
-        equinox_par::set_thread_override(Some(1));
-        let serial = (gemm_f32(&a, &b), gemm_bf16(&a, &b), gemm_hbfp(&a, &b, &cfg));
-        equinox_par::set_thread_override(Some(7));
-        let parallel = (gemm_f32(&a, &b), gemm_bf16(&a, &b), gemm_hbfp(&a, &b, &cfg));
-        equinox_par::set_thread_override(None);
-        assert_eq!(serial.0, parallel.0);
-        assert_eq!(serial.1, parallel.1);
-        assert_eq!(serial.2, parallel.2);
     }
 
     #[test]

@@ -352,11 +352,6 @@ impl HbfpMatrix {
         self.axis
     }
 
-    /// Format specification.
-    pub fn spec(&self) -> &HbfpSpec {
-        &self.spec
-    }
-
     /// `(lanes, values per lane)`: rows and their length when blocked
     /// along rows, columns and their length when blocked along columns.
     fn lane_shape(&self) -> (usize, usize) {

@@ -100,25 +100,9 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Mutable borrow of one row.
-    pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
-        assert!(row < self.rows, "row out of bounds");
-        &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
     /// The underlying row-major storage.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Mutable access to the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns the transpose.
@@ -177,13 +161,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt() as f32
-    }
-
-    /// Fills the matrix with samples from `gen`.
-    pub fn fill_with(&mut self, mut gen: impl FnMut() -> f32) {
-        for v in &mut self.data {
-            *v = gen();
-        }
     }
 }
 

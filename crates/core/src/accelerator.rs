@@ -85,11 +85,6 @@ impl Equinox {
         &self.design
     }
 
-    /// The simulator configuration (mutable, to override policies).
-    pub fn config_mut(&mut self) -> &mut AcceleratorConfig {
-        &mut self.config
-    }
-
     /// The simulator configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config

@@ -20,7 +20,18 @@ pub struct Fig2 {
     pub lstm: Vec<ConvergenceCurve>,
 }
 
+/// The three Figure 2 tasks; each trains once per encoding.
+#[derive(Clone, Copy)]
+enum Task {
+    Classification,
+    Language,
+    Lstm,
+}
+
 /// Runs the convergence studies for fp32, hbfp8 and bfloat16.
+///
+/// The eight training runs are independent, so each is one pool task;
+/// every GEMM inside a run is serial.
 pub fn run(scale: ExperimentScale) -> Fig2 {
     let (train_n, val_n, lm_train, lm_val) = match scale {
         ExperimentScale::Quick => (512, 128, 1024, 256),
@@ -30,27 +41,33 @@ pub fn run(scale: ExperimentScale) -> Fig2 {
     let cls_data = dataset::teacher_student(train_n, val_n, 16, 4, 97);
     let lm_data = dataset::markov_text(lm_train, lm_val, 16, 131);
     let lm_cfg = TrainConfig { hidden: 32, lr: 0.3, ..cfg };
-    let hbfp8 = Hbfp8Backend::new();
-    let backends: [&dyn Backend; 3] = [&Fp32Backend, &hbfp8, &Bf16Backend];
-    let classification = backends
-        .iter()
-        .map(|b| train::train_classifier(*b, &cls_data, &cfg))
-        .collect();
-    let language = backends
-        .iter()
-        .map(|b| train::train_language_model(*b, &lm_data, &lm_cfg))
-        .collect();
     let (seqs, lstm_epochs) = match scale {
         ExperimentScale::Quick => (128, 8),
         ExperimentScale::Full => (512, 20),
     };
     let seq_data = dataset::markov_sequences(seqs, seqs / 4, 20, 8, 55);
     let lstm_cfg = LstmConfig { epochs: lstm_epochs, ..Default::default() };
-    let lstm = [&Fp32Backend as &dyn Backend, &hbfp8]
-        .iter()
-        .map(|b| train_lstm_lm(*b, &seq_data, &lstm_cfg))
+    let hbfp8 = Hbfp8Backend::new();
+    let backends: [&(dyn Backend + Sync); 3] = [&Fp32Backend, &hbfp8, &Bf16Backend];
+    // Artifact order: three classifiers, three language models, then
+    // the fp32 and hbfp8 LSTMs.
+    let mut jobs: Vec<_> = [Task::Classification, Task::Language]
+        .into_iter()
+        .flat_map(|task| backends.map(|backend| (task, backend)))
+        .chain(backends[..2].iter().map(|&backend| (Task::Lstm, backend)))
         .collect();
-    Fig2 { classification, language, lstm }
+    // `parallel_map` deals contiguous blocks of jobs to its workers, so
+    // list the heaviest first: reverse artifact order, LSTMs leading.
+    jobs.reverse();
+    let mut curves = equinox_par::parallel_map(jobs, |(task, backend)| match task {
+        Task::Classification => train::train_classifier(backend, &cls_data, &cfg),
+        Task::Language => train::train_language_model(backend, &lm_data, &lm_cfg),
+        Task::Lstm => train_lstm_lm(backend, &seq_data, &lstm_cfg),
+    });
+    curves.reverse();
+    let lstm = curves.split_off(6);
+    let language = curves.split_off(3);
+    Fig2 { classification: curves, language, lstm }
 }
 
 impl Fig2 {
@@ -131,8 +148,14 @@ mod tests {
     #[test]
     fn quick_run_matches_paper_claim() {
         let fig = run(ExperimentScale::Quick);
-        assert_eq!(fig.classification.len(), 3);
-        assert_eq!(fig.language.len(), 3);
+        // Each task's curves come back in artifact order, whatever
+        // order the pool ran them in.
+        let labels = |curves: &[ConvergenceCurve]| -> Vec<String> {
+            curves.iter().map(|c| c.label.clone()).collect()
+        };
+        assert_eq!(labels(&fig.classification), ["fp32", "hbfp8", "bfloat16"]);
+        assert_eq!(labels(&fig.language), ["fp32", "hbfp8", "bfloat16"]);
+        assert_eq!(labels(&fig.lstm), ["fp32", "hbfp8"]);
         // The Figure 2 claim: hbfp8 tracks fp32.
         assert!(fig.classification_gap() < 0.10, "gap {}", fig.classification_gap());
         assert!(fig.perplexity_gap() < 0.15, "gap {}", fig.perplexity_gap());
@@ -140,7 +163,6 @@ mod tests {
         let fp32 = Fig2::curve(&fig.classification, "fp32").unwrap();
         assert!(fp32.final_metric() < fp32.points[0].val_metric);
         // The recurrent extension: hbfp8 BPTT tracks fp32 BPTT.
-        assert_eq!(fig.lstm.len(), 2);
         let lstm_fp32 = Fig2::curve(&fig.lstm, "fp32").unwrap();
         let lstm_hbfp = Fig2::curve(&fig.lstm, "hbfp8").unwrap();
         let rel = (lstm_hbfp.final_metric() - lstm_fp32.final_metric()).abs()

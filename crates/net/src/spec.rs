@@ -196,13 +196,6 @@ impl InterconnectSpec {
         self
     }
 
-    /// Returns the spec with `link` swapped in.
-    #[must_use]
-    pub fn with_link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
-        self
-    }
-
     /// Validates the spec against a fleet of `n_devices`.
     ///
     /// # Errors

@@ -9,7 +9,7 @@
 //! offline-green build), so this is the in-tree substitute for rayon's
 //! `par_iter().map().collect()` shape, specialised to the coarse-grained
 //! tasks the drivers actually run (per-figure jobs, per-design-point
-//! evaluations, per-load simulations, GEMM row blocks).
+//! evaluations, per-load simulations, whole training runs).
 //!
 //! ## Determinism contract
 //!
