@@ -554,54 +554,19 @@ fn run_numerics(scale: ExperimentScale) -> Artifacts {
     out
 }
 
-/// The analyzer sweep over the Table 1 family of both encodings, then
-/// one equinox-check verdict per (driver, design, workload) the
-/// experiment drivers exercise, plus each paper model's training
-/// lowering, so the static-analysis state of every published number is
-/// recorded. Gates: each sweep report but the installation fits, and
-/// each verdict, is free of error-severity diagnostics.
+/// The analyzer sweep over the Table 1 family of both encodings, and
+/// one verdict per published driver merged from the sweep's reports,
+/// so the static-analysis state of every published number is recorded.
+/// Gates: each sweep report but the installation fits, and each
+/// verdict, is free of error-severity diagnostics.
 fn run_checks(_: ExperimentScale) -> Artifacts {
-    use equinox_core::Equinox;
-    use equinox_isa::models::ModelSpec;
-    use equinox_model::LatencyConstraint;
     let sweep = checks::run();
     let mut out = Artifacts::with_log(&sweep);
     for (gate, holds) in sweep.gates() {
         out = out.gate(gate, holds);
     }
     out = out.json("equinox_check.json", sweep.to_json());
-    let grid: [(&str, LatencyConstraint, ModelSpec); 7] = [
-        ("fig7/fig8/fig10/fig11", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25()),
-        ("fig9", LatencyConstraint::Micros(50), ModelSpec::lstm_2048_25()),
-        ("fig9/min", LatencyConstraint::MinLatency, ModelSpec::lstm_2048_25()),
-        ("table2/gru", LatencyConstraint::Micros(500), ModelSpec::gru_2816_1500()),
-        ("table2/resnet", LatencyConstraint::Micros(500), ModelSpec::resnet50()),
-        ("table2/mlp", LatencyConstraint::Micros(500), ModelSpec::mlp_2048x5()),
-        ("diurnal/fault", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25()),
-    ];
-    // The grid rows are independent: analyze them concurrently and
-    // stitch log + JSON back together in row order.
-    let mut verdicts = equinox_par::parallel_map(grid.to_vec(), |(driver, constraint, model)| {
-        let eq = Equinox::build(equinox_arith::Encoding::Hbfp8, constraint)
-            .expect("paper designs exist");
-        (driver.to_string(), eq.check(&model, eq.serving_batch(&model)))
-    });
-    // The training lowerings behind every "training for free" number:
-    // one full backward-pass + weight-update program per paper model on
-    // the 500 µs design, vetted by the operand-level dataflow pass. The
-    // GRU's 1500-step unroll exceeds the facade's default analysis cap,
-    // so these rows use one large enough that nothing is skipped.
-    let eq = Equinox::build(equinox_arith::Encoding::Hbfp8, LatencyConstraint::Micros(500))
-        .expect("paper designs exist");
-    verdicts.extend(equinox_par::parallel_map(
-        vec![
-            ModelSpec::lstm_2048_25(),
-            ModelSpec::gru_2816_1500(),
-            ModelSpec::resnet50(),
-            ModelSpec::mlp_2048x5(),
-        ],
-        |model| (format!("training/{}", model.name()), eq.check_training(&model, 16_000_000)),
-    ));
+    let verdicts = sweep.driver_reports();
     for (driver, report) in &verdicts {
         let _ = writeln!(
             out.log,
@@ -612,7 +577,7 @@ fn run_checks(_: ExperimentScale) -> Artifacts {
         out = out.gate(format!("{driver} has no errors"), report.error_count() == 0);
     }
     let reports = verdicts.iter().map(|(driver, report)| {
-        Json::object([("driver", driver.as_str().into()), ("report", report.to_json())])
+        Json::object([("driver", (*driver).into()), ("report", report.to_json())])
     });
     let json = Json::object([("tool", "regen-results".into()), ("reports", Json::array(reports))]);
     out.json("driver_checks.json", json)

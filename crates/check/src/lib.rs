@@ -88,11 +88,8 @@ pub use serving::{analyze_serving, ServingParams};
 pub use equinox_isa::validate::BufferBudget;
 
 use equinox_arith::Encoding as ValueEncoding;
-use equinox_isa::cache::lower_training_cached;
 use equinox_isa::models::ModelSpec;
-use equinox_isa::training::{
-    estimate_training_instructions, TrainingProfile, TrainingSetup,
-};
+use equinox_isa::training::TrainingProfile;
 use equinox_isa::{ArrayDims, Program};
 use equinox_model::DesignSpace;
 use equinox_sim::{AcceleratorConfig, CostModel};
@@ -316,48 +313,6 @@ pub fn analyze_config(config: &AcceleratorConfig, space: Option<&DesignSpace>) -
     report
 }
 
-/// Lowers one training iteration of `model` and runs every program
-/// pass over it, the bounds family only when a [`CostModel`] is
-/// supplied (see [`analyze_program_with`]).
-///
-/// Training programs on small geometries can reach millions of
-/// instructions; when the size estimate exceeds `max_instructions`, the
-/// lowering is skipped and the report carries a single
-/// [`Code::ANALYSIS_SKIPPED`] note instead (never a silent skip).
-pub fn analyze_training_program(
-    model: &ModelSpec,
-    dims: &ArrayDims,
-    setup: &TrainingSetup,
-    budget: &BufferBudget,
-    max_instructions: u64,
-    bounds_cost: Option<&CostModel>,
-) -> Report {
-    let estimate = estimate_training_instructions(model, dims, setup);
-    if estimate > max_instructions {
-        let mut report = Report::new(format!("{}-training-b{}", model.name(), setup.batch));
-        report.push(Diagnostic::note(
-            Code::ANALYSIS_SKIPPED,
-            format!(
-                "training lowering estimated at {estimate} instructions exceeds the \
-                 {max_instructions} analysis cap; skipped"
-            ),
-        ));
-        return report;
-    }
-    let program = lower_training_cached(model, dims, setup);
-    analyze_program_with(
-        &program,
-        dims,
-        budget,
-        setup.encoding,
-        &PassSelection::all(),
-        bounds_cost,
-        &BoundsOptions::default(),
-        &NumericsOptions::default(),
-    )
-    .0
-}
-
 /// Runs the training-profile sanity pass under `config`'s clock and
 /// DRAM interface.
 pub fn analyze_training(profile: &TrainingProfile, config: &AcceleratorConfig) -> Report {
@@ -388,38 +343,6 @@ mod tests {
             let r = analyze_program(&p, &dims, &budget, ValueEncoding::Hbfp8);
             assert!(!r.has_errors(), "{}", r.render_human());
         }
-    }
-
-    #[test]
-    fn training_lowerings_analyze_clean_for_paper_models() {
-        let dims = ArrayDims { n: 186, w: 3, m: 3 };
-        let budget = BufferBudget::paper_default();
-        for (model, batch) in [
-            (ModelSpec::lstm_2048_25(), 128),
-            (ModelSpec::resnet50(), 8),
-            (ModelSpec::mlp_2048x5(), 128),
-        ] {
-            let setup = TrainingSetup { batch, ..Default::default() };
-            let r = analyze_training_program(&model, &dims, &setup, &budget, 2_000_000, None);
-            assert!(!r.has_errors(), "{}", r.render_human());
-            assert!(!r.has_code(Code::ANALYSIS_SKIPPED), "{}", r.render_human());
-        }
-    }
-
-    #[test]
-    fn oversized_training_lowering_is_skipped_with_a_note() {
-        let dims = ArrayDims { n: 1, w: 1, m: 1 };
-        let setup = TrainingSetup::paper_default();
-        let r = analyze_training_program(
-            &ModelSpec::gru_2816_1500(),
-            &dims,
-            &setup,
-            &BufferBudget::paper_default(),
-            1_000,
-            None,
-        );
-        assert!(r.has_code(Code::ANALYSIS_SKIPPED));
-        assert!(!r.has_errors());
     }
 
     #[test]

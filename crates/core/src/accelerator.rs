@@ -1,16 +1,17 @@
 //! The `Equinox` facade: design selection → compilation → simulation.
 
 use equinox_arith::Encoding;
-use equinox_isa::cache::compile_inference_cached;
+use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::models::ModelSpec;
 use equinox_isa::training::{TrainingProfile, TrainingSetup};
-use equinox_isa::ArrayDims;
+use equinox_isa::{ArrayDims, Program};
 use equinox_model::{DesignSpace, EvaluatedDesign, LatencyConstraint, TechnologyParams};
 use equinox_sim::{
     loadgen, AcceleratorConfig, BatchingPolicy, DegradationPolicy, EquinoxError, FaultScenario,
     SchedulerPolicy, SimReport, Simulation, SloSpec,
 };
+use std::sync::Arc;
 
 /// A configured Equinox accelerator instance (one of the §5 family,
 /// e.g. `Equinox_500us`).
@@ -120,7 +121,8 @@ impl Equinox {
     /// diagnostic report if the analyzer finds an error-severity defect
     /// (a compiler bug: the compiler must only emit programs that
     /// install and stream on its own geometry). Warnings and notes are
-    /// tolerated; inspect them via [`Equinox::check`].
+    /// tolerated; the [`checks`](crate::experiments::checks) sweep records
+    /// them.
     pub fn compile_with_batch(
         &self,
         model: &ModelSpec,
@@ -139,70 +141,6 @@ impl Equinox {
             });
         }
         Ok(InferenceTiming::from_program(&program, &self.config.dims, batch))
-    }
-
-    /// Runs the full static-analysis suite for `model` served at
-    /// `batch` on this instance: installation fit, the compiled
-    /// inference program's dataflow/resource/encoding passes (plus, on
-    /// hbfp8 instances, the `EQX08xx` numerical-safety abstract
-    /// interpretation), the same passes over the lowered training
-    /// iteration, and the configuration lints. Returns the merged
-    /// report without panicking, for drivers that want to surface
-    /// findings.
-    pub fn check(&self, model: &ModelSpec, batch: usize) -> equinox_check::Report {
-        let budget = equinox_check::BufferBudget::paper_default();
-        let mut report = equinox_check::Report::new(format!(
-            "{}/{}@batch{batch}",
-            self.config.name,
-            model.name()
-        ));
-        let install =
-            equinox_check::analyze_installation(model, self.config.encoding, batch, &budget);
-        report.extend(install.diagnostics().iter().cloned());
-        if !install.has_errors() {
-            let program = compile_inference_cached(
-                model,
-                &self.config.dims,
-                batch,
-                self.config.encoding,
-                &budget,
-            );
-            let program_report = equinox_check::analyze_program(
-                &program,
-                &self.config.dims,
-                &budget,
-                self.config.encoding,
-            );
-            report.extend(program_report.diagnostics().iter().cloned());
-        }
-        let training = self.check_training(model, 2_000_000);
-        report.extend(training.diagnostics().iter().cloned());
-        let config_report = equinox_check::analyze_config(&self.config, None);
-        report.extend(config_report.diagnostics().iter().cloned());
-        report.sort_by_span();
-        report
-    }
-
-    /// Lowers one training iteration of `model` on this geometry and
-    /// runs the program-level analyzer passes over it.
-    ///
-    /// Training programs on small geometries shatter into many millions
-    /// of instructions; when the size estimate exceeds
-    /// `max_instructions` the report carries an `ANALYSIS_SKIPPED` note
-    /// instead of a lowering.
-    pub fn check_training(
-        &self,
-        model: &ModelSpec,
-        max_instructions: u64,
-    ) -> equinox_check::Report {
-        equinox_check::analyze_training_program(
-            model,
-            &self.config.dims,
-            &self.training_setup(model),
-            &equinox_check::BufferBudget::paper_default(),
-            max_instructions,
-            None,
-        )
     }
 
     /// Batch size `model` is served at on this instance: vector-matrix
@@ -229,6 +167,21 @@ impl Equinox {
             batch,
             encoding: self.config.encoding,
             ..TrainingSetup::paper_default()
+        }
+    }
+
+    /// The program `model` runs on this instance and its batch: one
+    /// served inference pass at [`Equinox::serving_batch`], or one
+    /// training iteration at [`Equinox::training_setup`].
+    pub(crate) fn lowering(&self, model: &ModelSpec, training: bool) -> (Arc<Program>, usize) {
+        let dims = &self.config.dims;
+        if training {
+            let setup = self.training_setup(model);
+            (lower_training_cached(model, dims, &setup), setup.batch)
+        } else {
+            let batch = self.serving_batch(model);
+            let budget = equinox_check::BufferBudget::paper_default();
+            (compile_inference_cached(model, dims, batch, self.config.encoding, &budget), batch)
         }
     }
 
@@ -430,18 +383,6 @@ mod tests {
             .run(&RunOptions { target_requests: 500, ..RunOptions::colocated(0.4) })
             .unwrap();
         assert!(r.training_tops() > 10.0, "training {}", r.training_tops());
-    }
-
-    #[test]
-    fn static_analysis_gates_compilation() {
-        let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500)).unwrap();
-        // The served workloads come out of the compiler defect-free.
-        let clean = eq.check(&ModelSpec::lstm_2048_25(), eq.dims().n);
-        assert!(!clean.has_errors(), "{}", clean.render_human());
-        // A workload that cannot install is reported, not panicked on.
-        let transformer = eq.check(&ModelSpec::transformer_encoder_768(), 1);
-        assert!(transformer.has_errors());
-        assert!(transformer.has_code(equinox_check::Code::WEIGHTS_DONT_FIT));
     }
 
     #[test]

@@ -27,12 +27,10 @@
 //! job fails on.
 
 use crate::accelerator::Equinox;
-use crate::experiments::ExperimentScale;
+use crate::experiments::{paper_models, ExperimentScale};
 use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::bounds::{compute_bounds, paper_energy_params, soundness_diagnostics};
-use equinox_check::BufferBudget;
-use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
@@ -117,16 +115,6 @@ pub struct BoundsCalibration {
     pub cells: Vec<CalibrationCell>,
 }
 
-/// The four paper models, in paper order.
-fn paper_models() -> [ModelSpec; 4] {
-    [
-        ModelSpec::lstm_2048_25(),
-        ModelSpec::gru_2816_1500(),
-        ModelSpec::resnet50(),
-        ModelSpec::mlp_2048x5(),
-    ]
-}
-
 /// Runs the engine at one operating point with a full batch of
 /// back-to-back arrivals placed after the warm-up window, and returns
 /// the service cycles its max latency implies.
@@ -161,20 +149,7 @@ fn probe(
 fn calibrate(eq: &Equinox, cost: &CostModel, model: &ModelSpec, training: bool, intervals: u64) -> CalibrationCell {
     let dims = eq.dims();
     let config = eq.config();
-    let (program, batch) = if training {
-        let setup = eq.training_setup(model);
-        (lower_training_cached(model, &dims, &setup), setup.batch)
-    } else {
-        let batch = eq.serving_batch(model);
-        let program = compile_inference_cached(
-            model,
-            &dims,
-            batch,
-            config.encoding,
-            &BufferBudget::paper_default(),
-        );
-        (program, batch)
-    };
+    let (program, batch) = eq.lowering(model, training);
     let timing = InferenceTiming::from_program(&program, &dims, batch);
     let bounds = compute_bounds(&program, cost);
     let energy = bounds.energy.as_ref().expect("cost model carries energy parameters");

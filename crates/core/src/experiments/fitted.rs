@@ -38,9 +38,7 @@ use crate::experiments::ExperimentScale;
 use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::bounds::{compute_bounds, paper_energy_params};
-use equinox_check::BufferBudget;
 use equinox_fleet::{sorted_quantile, DeviceSpec, FittedTable, GRID_POINTS, MAX_STRETCH};
-use equinox_isa::cache::compile_inference_cached;
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::models::ModelSpec;
 use equinox_isa::training::TrainingProfile;
@@ -340,14 +338,7 @@ pub fn run(scale: ExperimentScale) -> FittedCalibration {
         .into_iter()
         .map(|model| {
             assert!(model.is_vector_matrix(), "fitted models serve at the hardware batch");
-            let batch = dims.n;
-            let program = compile_inference_cached(
-                &model,
-                &dims,
-                batch,
-                eq.config().encoding,
-                &BufferBudget::paper_default(),
-            );
+            let (program, batch) = eq.lowering(&model, false);
             let timing = InferenceTiming::from_program(&program, &dims, batch);
             let bounds = compute_bounds(&program, &cost);
             let energy = bounds.energy.as_ref().expect("cost model carries energy parameters");

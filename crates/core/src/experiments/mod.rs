@@ -6,6 +6,7 @@
 
 use crate::accelerator::{Equinox, RunOptions};
 use equinox_isa::lower::InferenceTiming;
+use equinox_isa::models::ModelSpec;
 use equinox_sim::SimReport;
 
 pub mod ablation;
@@ -65,6 +66,16 @@ impl ExperimentScale {
             ExperimentScale::Full => 40,
         }
     }
+}
+
+/// The four paper models, in paper order.
+pub(crate) fn paper_models() -> [ModelSpec; 4] {
+    [
+        ModelSpec::lstm_2048_25(),
+        ModelSpec::gru_2816_1500(),
+        ModelSpec::resnet50(),
+        ModelSpec::mlp_2048x5(),
+    ]
 }
 
 /// One measured point of a load sweep.

@@ -31,13 +31,12 @@
 //! regen job fails on.
 
 use crate::accelerator::Equinox;
-use crate::experiments::ExperimentScale;
+use crate::experiments::{paper_models, ExperimentScale};
 use equinox_arith::json::Json;
 use equinox_arith::{Accumulator25, Encoding, HbfpBlock, HbfpSpec, NumericEvents, Q8, SplitMix64};
 use equinox_check::diag::Report;
 use equinox_check::numerics;
-use equinox_check::{BufferBudget, ChainVerdict, NumericsOptions};
-use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
+use equinox_check::{ChainVerdict, NumericsOptions};
 use equinox_isa::models::ModelSpec;
 use equinox_model::LatencyConstraint;
 
@@ -139,16 +138,6 @@ pub struct NumericsSweep {
     pub cells: Vec<NumericsCell>,
 }
 
-/// The four paper models, in paper order.
-fn paper_models() -> [ModelSpec; 4] {
-    [
-        ModelSpec::lstm_2048_25(),
-        ModelSpec::gru_2816_1500(),
-        ModelSpec::resnet50(),
-        ModelSpec::mlp_2048x5(),
-    ]
-}
-
 /// Worst-case chained accumulation at the given depth and operand
 /// magnitudes, on both accumulator rails; returns total saturation
 /// events. This is the exact monotone extreme of the verdict's
@@ -246,25 +235,10 @@ pub fn probe_chain(v: &ChainVerdict, trials: u32) -> ChainProbe {
 
 /// Calibrates one (model, lowering) cell.
 fn calibrate(eq: &Equinox, model: &ModelSpec, training: bool, trials: u32) -> NumericsCell {
-    let dims = eq.dims();
-    let config = eq.config();
-    let (program, batch) = if training {
-        let setup = eq.training_setup(model);
-        (lower_training_cached(model, &dims, &setup), setup.batch)
-    } else {
-        let batch = eq.serving_batch(model);
-        let program = compile_inference_cached(
-            model,
-            &dims,
-            batch,
-            config.encoding,
-            &BufferBudget::paper_default(),
-        );
-        (program, batch)
-    };
+    let (program, batch) = eq.lowering(model, training);
     let mut report = Report::new(program.name().to_string());
-    let summary =
-        numerics::analyze(&mut report, &program, config.encoding, &NumericsOptions::default());
+    let encoding = eq.config().encoding;
+    let summary = numerics::analyze(&mut report, &program, encoding, &NumericsOptions::default());
     let chains = summary.chains.iter().map(|v| probe_chain(v, trials)).collect();
     NumericsCell {
         model: model.name().to_string(),

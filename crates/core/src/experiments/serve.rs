@@ -384,22 +384,39 @@ pub fn run(scale: ExperimentScale) -> ServeSweep {
             .collect(),
     });
 
-    // The serving-layer lints over the exact parameters the sweep ran:
-    // every policy's defaults plus the autoscaler, against the fleet's
-    // real deadline and service-time scales.
-    let lints = analyze_serving(&ServingParams {
+    // The serving-layer lints over the parameters the sweep ran: the
+    // admission defaults its grid was built from (where two policies
+    // carry a token bucket, each parameter at its tighter value) plus the
+    // autoscaler, against the fleet's real deadline and service-time
+    // scales.
+    let mut params = ServingParams {
         deadline_s,
         batch_service_s: devices[0].service_time_s(),
         paid_offered_floor_x: PAID_FRACTION * LOADS[0],
-        slack_x: 0.8,
-        token_rate_x: 0.95,
-        burst_batches: 4.0,
-        free_reserve_batches: 1.0,
+        slack_x: f64::INFINITY,
+        token_rate_x: f64::INFINITY,
+        burst_batches: f64::INFINITY,
+        free_reserve_batches: 0.0,
         up_backlog_batches: scaler.up_backlog_batches,
         down_backlog_batches: scaler.down_backlog_batches,
         sustain_s: scaler.sustain_s,
         drain_grace_s: scaler.drain_grace_s,
-    });
+    };
+    for admission in AdmissionSpec::all_default() {
+        match admission {
+            AdmissionSpec::AdmitAll => {}
+            AdmissionSpec::DeadlineAware { slack_x } => params.slack_x = params.slack_x.min(slack_x),
+            AdmissionSpec::TokenBucket { rate_x, burst_batches }
+            | AdmissionSpec::Priority { rate_x, burst_batches, .. } => {
+                params.token_rate_x = params.token_rate_x.min(rate_x);
+                params.burst_batches = params.burst_batches.min(burst_batches);
+            }
+        }
+        if let AdmissionSpec::Priority { free_reserve_batches, .. } = admission {
+            params.free_reserve_batches = params.free_reserve_batches.max(free_reserve_batches);
+        }
+    }
+    let lints = analyze_serving(&params);
     let lint_errors = lints
         .iter()
         .filter(|d| d.severity == equinox_check::Severity::Error)

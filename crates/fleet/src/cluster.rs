@@ -1,7 +1,7 @@
 //! The fleet itself: one arrival stream in, one [`FleetReport`] out.
 //!
 //! A run has three stages. First the front end draws the fleet-wide
-//! arrival stream (Poisson or diurnal, reusing `equinox_sim::loadgen`)
+//! arrival stream (Poisson or a trace day, reusing `equinox_sim::loadgen`)
 //! on the *reference clock* — device 0's — and routes every request in
 //! one serial pass (see [`crate::routing`]). Then each device
 //! simulates its share of the traffic with the full `equinox-sim`
@@ -21,9 +21,7 @@ use crate::sync;
 use equinox_arith::rng::SplitMix64;
 use equinox_isa::EquinoxError;
 use equinox_net::InterconnectSpec;
-use equinox_sim::loadgen::{
-    diurnal_arrivals, poisson_arrivals, split_seed, trace_arrivals, DiurnalProfile, FlashCrowd,
-};
+use equinox_sim::loadgen::{poisson_arrivals, split_seed, trace_arrivals, DiurnalProfile, FlashCrowd};
 use equinox_sim::{ClassLedger, LatencyStats, RequestClass, SchedulerPolicy, SimReport, SloSpec};
 
 /// The seed stream of the paid/free class draw (see the crate docs):
@@ -43,13 +41,6 @@ pub enum ArrivalSource {
     Poisson {
         /// Offered load as a fraction of aggregate fleet saturation.
         load: f64,
-    },
-    /// Non-homogeneous Poisson traffic following a diurnal profile over
-    /// one simulated "day" (the horizon), with the profile's load
-    /// fractions applied to the aggregate fleet saturation rate.
-    Diurnal {
-        /// The day's load profile.
-        profile: DiurnalProfile,
     },
     /// Trace-scale traffic: the diurnal day composed with a flash-crowd
     /// window and scaled by `rate_scale`
@@ -127,7 +118,7 @@ impl Fleet {
                 d.scenario.name.clone(),
                 "device scenarios must not inject burst traffic; fleet \
                  traffic enters through the router (use a Poisson or \
-                 diurnal source instead)",
+                 trace source instead)",
             ));
         }
         // Surrogate devices: the table must fit the served program, and
@@ -245,9 +236,6 @@ impl Fleet {
             ArrivalSource::Poisson { load } => {
                 let rate = equinox_sim::loadgen::rate_for_load(load, fleet_rate_per_cycle)?;
                 poisson_arrivals(rate, opts.horizon_cycles, arrival_seed)?
-            }
-            ArrivalSource::Diurnal { profile } => {
-                diurnal_arrivals(&profile, fleet_rate_per_cycle, opts.horizon_cycles, arrival_seed)?
             }
             ArrivalSource::Trace { profile, rate_scale, crowd } => trace_arrivals(
                 &profile,
@@ -1026,27 +1014,6 @@ pub(crate) mod tests {
         }
         // Determinism: the exact same options reproduce the report.
         assert_eq!(fleet.run(&o).unwrap().to_string(), fr.to_string());
-    }
-
-    #[test]
-    fn diurnal_traffic_follows_the_day() {
-        let fleet = mixed_fleet(2, 1);
-        let o = FleetRunOptions {
-            source: ArrivalSource::Diurnal {
-                profile: DiurnalProfile::thirty_percent_average(),
-            },
-            policy: RoutingPolicy::LeastOutstanding,
-            admission: AdmissionSpec::AdmitAll,
-            autoscale: None,
-            paid_fraction: 1.0,
-            horizon_cycles: 2_000 * 16_000,
-            seed: 7,
-            slo: None,
-        };
-        let fr = fleet.run(&o).unwrap();
-        assert!(fr.offered_requests > 0);
-        let assigned: usize = fr.devices.iter().map(|d| d.assigned_requests).sum();
-        assert_eq!(assigned, fr.offered_requests);
     }
 }
 

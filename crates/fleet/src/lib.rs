@@ -6,9 +6,9 @@
 //!
 //! The paper evaluates one device; a production deployment serves its
 //! traffic from a fleet. This crate composes the per-device machinery
-//! that already exists — the `equinox-sim` engine, its Poisson/diurnal
-//! load generator, fault injection, and the SLO monitor — into a
-//! system-level study: one arrival stream enters a front-end router,
+//! that already exists — the `equinox-sim` engine, its Poisson and
+//! trace-day load generators, fault injection, and the SLO monitor —
+//! into a system-level study: one arrival stream enters a front-end router,
 //! each request is dispatched to a device under a pluggable
 //! [`RoutingPolicy`], every device then runs the full event-driven
 //! simulation of its share of the traffic, and the per-device reports

@@ -1,9 +1,9 @@
 //! Process-wide memoized compilation cache.
 //!
 //! The evaluation stack compiles the same lowerings over and over: the
-//! analyzer sweep over the paper family, `Equinox::check`,
-//! `Equinox::compile`, and the other experiment drivers all lower
-//! identical `(model, dims, batch, encoding, budget)` points — and with
+//! analyzer sweep over the paper family, `Equinox::compile`, and the
+//! other experiment drivers all lower identical
+//! `(model, dims, batch, encoding, budget)` points — and with
 //! the parallel runtime several of them do so *concurrently*. This module
 //! memoizes [`crate::lower::compile_inference_with`] and
 //! [`crate::training::lower_training`] behind `Arc`-shared programs so each

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full offline quality gate: lint, build, test and every experiment at
-# --quick scale, the static analyzer sweep included. Everything here
-# works without network access; CI runs this script as is.
+# --quick scale, the static analyzer sweep included, then every
+# experiment at Full scale compared byte for byte with the committed
+# results/. Everything here works without network access; CI runs this
+# script as is.
 #
 # rustfmt is intentionally not enforced: the codebase predates a
 # rustfmt profile and conformance would be a whole-tree churn.
@@ -38,6 +40,16 @@ echo "    gates every analyzer report but the installation fits) or on any"
 echo "    id over its --quick wall-clock budget (writes"
 echo "    target/check-results/results/)"
 (cd target/check-results && cargo run --release -p equinox-bench --bin regen-results -- --quick)
+
+echo "==> every experiment at Full scale (~50 s, ~2 GiB RSS on 2 vCPUs):"
+echo "    fails on any gate that does not hold, and on any file that is not"
+echo "    byte-identical to the committed results/ (bench_timings.json holds"
+echo "    wall-clock times, so it is the one file exempt); diff -rq names"
+echo "    each differing, missing or extra file"
+rm -rf target/check-full
+mkdir -p target/check-full
+(cd target/check-full && cargo run --release -p equinox-bench --bin regen-results)
+diff -rq --exclude=bench_timings.json results target/check-full/results
 
 echo "==> rustdoc (warnings are errors; no external deps to document)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
