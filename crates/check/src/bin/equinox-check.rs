@@ -10,7 +10,8 @@
 //! program pass families; `--list-passes` prints the families and exits.
 //!
 //! The exit code is 1 iff any error-severity diagnostic was produced —
-//! or, under `--deny-warnings`, any warning — and 2 on a usage error.
+//! or, under `--deny-warnings`, any warning — and 2 on a usage error:
+//! no file, or an option or pass it does not know.
 
 use equinox_arith::Encoding;
 use equinox_check::bounds::paper_energy_params;
@@ -91,6 +92,9 @@ fn main() {
                 .unwrap_or_else(|| usage_error("--pass requires a comma-separated list")),
             other => match other.strip_prefix("--pass=") {
                 Some(list) => list.to_string(),
+                None if other.starts_with("--") => {
+                    usage_error(&format!("unknown option {other}"))
+                }
                 None => {
                     files.push(arg);
                     continue;

@@ -123,6 +123,18 @@ fn unknown_pass_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_option_is_a_usage_error() {
+    // A misspelt flag is neither a file nor silently dropped.
+    let path = scratch("unknown-option.bin", &[0u8; 16]);
+    let out = bin().arg("--deny-warning").arg(&path).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --deny-warning"), "{stderr}");
+    assert!(stderr.contains("usage: equinox-check"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a usage error analyzed something: {out:?}");
+}
+
+#[test]
 fn no_file_is_a_usage_error_that_writes_nothing() {
     let dir = std::env::temp_dir().join(format!("equinox-check-no-file-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

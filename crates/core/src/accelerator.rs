@@ -195,14 +195,10 @@ impl Equinox {
     ///
     /// # Errors
     ///
-    /// Propagates [`Equinox::compile_with_batch`] and
-    /// [`Equinox::run_compiled`] errors.
+    /// Propagates [`Equinox::compile`] and [`Equinox::run_compiled`]
+    /// errors.
     pub fn run(&self, opts: &RunOptions) -> Result<SimReport, EquinoxError> {
-        let timing = match opts.batch {
-            Some(b) => self.compile_with_batch(&opts.model, b)?,
-            None => self.compile(&opts.model)?,
-        };
-        self.run_compiled(&timing, opts)
+        self.run_compiled(&self.compile(&opts.model)?, opts)
     }
 
     /// Runs a simulation reusing an already-compiled timing (use this
@@ -297,8 +293,6 @@ const ARRIVAL_SEED: u64 = 42;
 pub struct RunOptions {
     /// The inference workload.
     pub model: ModelSpec,
-    /// Batch-size override (default: the geometry's `n`).
-    pub batch: Option<usize>,
     /// Offered load as a fraction of the saturation request rate.
     pub load: f64,
     /// Co-hosted training workload, if any.
@@ -323,7 +317,6 @@ impl RunOptions {
     pub fn inference(load: f64) -> Self {
         RunOptions {
             model: ModelSpec::lstm_2048_25(),
-            batch: None,
             load,
             train_model: None,
             scheduler: None,

@@ -188,11 +188,7 @@ pub fn run(scale: ExperimentScale) -> FleetSweep {
         .expect("reference workload compiles");
     // Fixed horizon in batch-service intervals so every policy sees the
     // same offered stream per (size, load).
-    let intervals: u64 = match scale {
-        ExperimentScale::Quick => 100,
-        ExperimentScale::Full => 600,
-    };
-    let horizon = intervals * timing.total_cycles;
+    let horizon = base_intervals(scale) * timing.total_cycles;
     let deadline_s = DEADLINE_X * timing.service_time_s(eq.freq_hz());
     let slo = SloSpec::new(deadline_s).expect("positive deadline");
 
@@ -245,18 +241,19 @@ pub fn run(scale: ExperimentScale) -> FleetSweep {
         }
     });
 
-    let mut comparisons = Vec::new();
+    let mut sweep = FleetSweep {
+        deadline_ms: deadline_s * 1e3,
+        cells,
+        comparisons: Vec::new(),
+        scaled: run_scaled(scale),
+    };
     for &size in &FLEET_SIZES {
         for &load in &LOADS {
-            let cell = |policy: &str| {
-                cells.iter().find(|c| {
-                    c.fleet_size == size && c.policy == policy && (c.load - load).abs() < 1e-9
-                })
-            };
+            let cell = |policy| sweep.cell(size, policy, load);
             let (Some(rr), Some(ta)) = (cell("round_robin"), cell("training_aware")) else {
                 continue;
             };
-            comparisons.push(HarvestComparison {
+            let comparison = HarvestComparison {
                 fleet_size: size,
                 load,
                 round_robin_epochs: rr.free_epochs,
@@ -267,15 +264,11 @@ pub fn run(scale: ExperimentScale) -> FleetSweep {
                     0.0
                 },
                 training_aware_slo_clean: ta.violations == 0,
-            });
+            };
+            sweep.comparisons.push(comparison);
         }
     }
-    FleetSweep {
-        deadline_ms: deadline_s * 1e3,
-        cells,
-        comparisons,
-        scaled: run_scaled(scale),
-    }
+    sweep
 }
 
 /// Horizon of the cycle-accurate grid at `scale`, in batch-service

@@ -32,7 +32,7 @@ use equinox_arith::json::Json;
 use equinox_arith::Encoding;
 use equinox_check::{analyze_serving, ServingParams};
 use equinox_fleet::{
-    AdmissionSpec, ArrivalSource, AutoscalePolicy, DeviceSpec, FittedTable, Fleet,
+    AdmissionSpec, ArrivalSource, AutoscalePolicy, DeviceSpec, FittedTable, Fleet, FleetReport,
     FleetRunOptions, RoutingPolicy, ScalingKind,
 };
 use equinox_isa::lower::InferenceTiming;
@@ -197,7 +197,7 @@ fn autoscale_policy(horizon_s: f64) -> AutoscalePolicy {
     }
 }
 
-fn tier_stats(report: &equinox_fleet::FleetReport, class: RequestClass) -> TierStats {
+fn tier_stats(report: &FleetReport, class: RequestClass) -> TierStats {
     let l = report.class_ledger(class);
     TierStats {
         offered: l.offered_requests,
@@ -207,6 +207,40 @@ fn tier_stats(report: &equinox_fleet::FleetReport, class: RequestClass) -> TierS
         unattributed: l.unattributed_requests,
         shed_rate: l.shed_rate(),
         p999_ms: l.p999_s() * 1e3,
+    }
+}
+
+/// The cell of a `kind` run under `admission` at `load` that produced
+/// `report`.
+fn serve_cell(
+    kind: &'static str,
+    admission: AdmissionSpec,
+    load: f64,
+    report: &FleetReport,
+) -> ServeCell {
+    let joins = report.scaling_spans.iter().filter(|s| s.kind == ScalingKind::Join).count();
+    ServeCell {
+        kind,
+        admission: admission.name(),
+        load,
+        offered: report.offered_requests,
+        admission_shed: report.admission_shed_requests,
+        completed: report.completed_requests(),
+        device_shed: report.shed_requests(),
+        device_dropped: report.dropped_requests(),
+        final_queue: report
+            .devices
+            .iter()
+            .filter_map(|d| d.report.slo.as_ref())
+            .map(|s| s.final_queue_depth)
+            .sum(),
+        joins,
+        drains: report.scaling_spans.len() - joins,
+        p999_ms: report.p999_ms(),
+        violations: report.total_violations(),
+        paid: tier_stats(report, RequestClass::Paid),
+        free: tier_stats(report, RequestClass::Free),
+        assigned_per_device: report.devices.iter().map(|d| d.assigned_requests).collect(),
     }
 }
 
@@ -289,38 +323,7 @@ pub fn run(scale: ExperimentScale) -> ServeSweep {
                 ..base
             })
             .expect("serve runs complete");
-        let joins = report
-            .scaling_spans
-            .iter()
-            .filter(|s| s.kind == ScalingKind::Join)
-            .count();
-        ServeCell {
-            kind,
-            admission: admission.name(),
-            load,
-            offered: report.offered_requests,
-            admission_shed: report.admission_shed_requests,
-            completed: report.completed_requests(),
-            device_shed: report.shed_requests(),
-            device_dropped: report.dropped_requests(),
-            final_queue: report
-                .devices
-                .iter()
-                .filter_map(|d| d.report.slo.as_ref())
-                .map(|s| s.final_queue_depth)
-                .sum(),
-            joins,
-            drains: report.scaling_spans.len() - joins,
-            p999_ms: report.p999_ms(),
-            violations: report.total_violations(),
-            paid: tier_stats(&report, RequestClass::Paid),
-            free: tier_stats(&report, RequestClass::Free),
-            assigned_per_device: report
-                .devices
-                .iter()
-                .map(|d| d.assigned_requests)
-                .collect(),
-        }
+        serve_cell(kind, admission, load, &report)
     });
 
     // The scaled cell: the same trace day served by a 64-device fleet
@@ -343,6 +346,7 @@ pub fn run(scale: ExperimentScale) -> ServeSweep {
         .map(|i| fit.device(&format!("fit[{i}]"), i >= scaled_size - scaled_size / 2))
         .collect();
     let scaled_fleet = Fleet::new(scaled_devices).expect("fitted devices validate");
+    let admission = AdmissionSpec::priority_default();
     let scaled_report = scaled_fleet
         .run(&FleetRunOptions {
             source: ArrivalSource::Trace {
@@ -350,39 +354,13 @@ pub fn run(scale: ExperimentScale) -> ServeSweep {
                 rate_scale: scaled_load / trace_mean,
                 crowd,
             },
-            admission: AdmissionSpec::priority_default(),
+            admission,
             horizon_cycles: scaled_intervals * fit.measured_cycles,
             slo: Some(SloSpec::new(scaled_deadline_s).expect("positive deadline")),
             ..base
         })
         .expect("the scaled serve run completes");
-    cells.push(ServeCell {
-        kind: "scaled",
-        admission: AdmissionSpec::priority_default().name(),
-        load: scaled_load,
-        offered: scaled_report.offered_requests,
-        admission_shed: scaled_report.admission_shed_requests,
-        completed: scaled_report.completed_requests(),
-        device_shed: scaled_report.shed_requests(),
-        device_dropped: scaled_report.dropped_requests(),
-        final_queue: scaled_report
-            .devices
-            .iter()
-            .filter_map(|d| d.report.slo.as_ref())
-            .map(|s| s.final_queue_depth)
-            .sum(),
-        joins: 0,
-        drains: 0,
-        p999_ms: scaled_report.p999_ms(),
-        violations: scaled_report.total_violations(),
-        paid: tier_stats(&scaled_report, RequestClass::Paid),
-        free: tier_stats(&scaled_report, RequestClass::Free),
-        assigned_per_device: scaled_report
-            .devices
-            .iter()
-            .map(|d| d.assigned_requests)
-            .collect(),
-    });
+    cells.push(serve_cell("scaled", admission, scaled_load, &scaled_report));
 
     // The serving-layer lints over the parameters the sweep ran: the
     // admission defaults its grid was built from (where two policies

@@ -58,7 +58,6 @@ pub fn run(scale: ExperimentScale) -> Table2 {
             // Training throughput at 60 % load (training instance of the
             // same model, per the paper's setup).
             let opts = RunOptions {
-                batch,
                 train_model: Some(model.clone()),
                 // GRU batches are ~75 ms; keep the request count modest.
                 target_requests: scale.target_requests().min(2000),

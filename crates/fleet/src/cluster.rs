@@ -4,19 +4,21 @@
 //! arrival stream (Poisson or a trace day, reusing `equinox_sim::loadgen`)
 //! on the *reference clock* — device 0's — and routes every request in
 //! one serial pass (see [`crate::routing`]). Then each device
-//! simulates its share of the traffic with the full `equinox-sim`
-//! event engine, concurrently on the `equinox-par` pool; timestamps
-//! are rescaled to each device's own clock, so heterogeneous-frequency
-//! fleets compose. Finally the per-device reports are merged in device
-//! index order into a [`FleetReport`] — byte-identical at any thread
-//! count.
+//! simulates its share of the traffic, concurrently on the
+//! `equinox-par` pool, with the `equinox-sim` event engine or the
+//! surrogate walk ([`crate::surrogate`]); both record into one
+//! `equinox_sim::RunLedger`, so their reports follow the same
+//! accounting rules. Timestamps are rescaled to each device's own
+//! clock, so heterogeneous-frequency fleets compose. Finally the
+//! per-device reports are merged in device index order into a
+//! [`FleetReport`] — byte-identical at any thread count.
 
 use crate::admission::{AdmissionContext, AdmissionDecision, AdmissionSpec};
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::device::{DeviceSpec, Fidelity};
 use crate::report::{free_epochs, DeviceOutcome, FleetReport};
 use crate::routing::{Router, RoutingPolicy};
-use crate::surrogate::{self, RequestOutcome};
+use crate::surrogate;
 use crate::sync;
 use equinox_arith::rng::SplitMix64;
 use equinox_isa::EquinoxError;
@@ -303,10 +305,9 @@ impl Fleet {
         }
 
         // Stage 2: per-device simulations, concurrent and index-merged.
-        // Surrogate devices report per-request outcomes, so their class
-        // ledgers attribute completions exactly; cycle-accurate devices
-        // only report aggregates, so their admitted requests land in
-        // `unattributed_requests`.
+        // Surrogate devices attribute every request's fate to its class;
+        // cycle-accurate devices only report aggregates, so their
+        // admitted requests land in `unattributed_requests`.
         let assigned: Vec<usize> = per_device.iter().map(|(a, _)| a.len()).collect();
         let work: Vec<(usize, DeviceShare)> = per_device.into_iter().enumerate().collect();
         let results: Vec<Result<DeviceResult, EquinoxError>> =
@@ -326,8 +327,7 @@ impl Fleet {
                             &spec.scenario,
                             opts.slo,
                         )?;
-                        let ledgers = attributed_ledgers(None, &classes, deadline_s, None);
-                        Ok((report, ledgers, 0.0))
+                        Ok((report, unattributed_ledgers(&classes), 0.0))
                     }
                     Fidelity::Fitted(table) => {
                         // Stream `2 + i` is free for the per-batch
@@ -337,17 +337,12 @@ impl Fleet {
                             spec,
                             table,
                             &device_arrivals,
+                            &classes,
                             horizon,
                             opts.slo,
                             split_seed(opts.seed, 2 + i as u64),
                         );
-                        let ledgers = attributed_ledgers(
-                            Some(&run.outcomes),
-                            &classes,
-                            deadline_s,
-                            harvest_displacement(spec),
-                        );
-                        Ok((run.report, ledgers, run.energy_j))
+                        Ok((run.report, run.ledgers, run.energy_j))
                     }
                 }
             });
@@ -419,67 +414,12 @@ type DeviceShare = (Vec<u64>, Vec<RequestClass>);
 /// attribution ledgers, and the inference energy (fitted devices only).
 type DeviceResult = (SimReport, [ClassLedger; 2], f64);
 
-/// The harvest-displacement price of one MMU busy cycle on `spec`:
-/// `(harvest rate, cycles per epoch)`, or `None` when the device
-/// does not harvest ([`DeviceSpec::harvests`]) — then no traffic
-/// displaces anything.
-fn harvest_displacement(spec: &DeviceSpec) -> Option<(f64, f64)> {
-    let profile = spec.training.as_ref().filter(|_| spec.harvests())?;
-    Some((surrogate::idle_harvest_rate(spec), crate::report::epoch_cycles(profile)))
-}
-
-/// Builds one device's per-class attribution ledgers. With per-request
-/// `outcomes` (surrogate fidelity) completions, sheds, and stranded
-/// misses are attributed to their class exactly; without them
-/// (cycle-accurate fidelity) every admitted request is counted as
-/// unattributable instead of guessed. Offered counts stay zero — the
-/// fleet edge owns them. On a harvesting device (`displacement` =
-/// the harvest rate and epoch cost from [`harvest_displacement`]) each
-/// completion is additionally charged the free-training epochs its MMU
-/// occupancy displaced — first-order attribution: had the request not
-/// been served, those cycles would have been idle and harvested at the
-/// DRAM-capped rate.
-fn attributed_ledgers(
-    outcomes: Option<&[RequestOutcome]>,
-    classes: &[RequestClass],
-    deadline_s: Option<f64>,
-    displacement: Option<(f64, f64)>,
-) -> [ClassLedger; 2] {
+/// The class ledgers of a device that reports only aggregates: every
+/// admitted request is counted as unattributed instead of guessed.
+fn unattributed_ledgers(classes: &[RequestClass]) -> [ClassLedger; 2] {
     let mut ledgers = RequestClass::ALL.map(ClassLedger::empty);
-    let Some(outcomes) = outcomes else {
-        for &c in classes {
-            ledgers[c.index()].unattributed_requests += 1;
-        }
-        return ledgers;
-    };
-    debug_assert_eq!(outcomes.len(), classes.len());
-    let epochs_per_busy_cycle = displacement
-        .map(|(rate, epoch_cycles)| if epoch_cycles > 0.0 { rate / epoch_cycles } else { 0.0 })
-        .unwrap_or(0.0);
-    let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for (&o, &c) in outcomes.iter().zip(classes) {
-        let l = &mut ledgers[c.index()];
-        match o {
-            RequestOutcome::Completed { latency_s, measured, busy_cycles } => {
-                l.displaced_epochs += busy_cycles * epochs_per_busy_cycle;
-                if measured {
-                    l.completed_requests += 1;
-                    samples[c.index()].push(latency_s);
-                    if deadline_s.is_some_and(|d| latency_s > d) {
-                        l.deadline_misses += 1;
-                    }
-                }
-            }
-            RequestOutcome::Shed { .. } => l.shed_requests += 1,
-            RequestOutcome::Stranded { missed } => {
-                if missed {
-                    l.deadline_misses += 1;
-                }
-            }
-        }
-    }
-    for (l, s) in ledgers.iter_mut().zip(samples) {
-        l.latency = LatencyStats::from_samples(s);
+    for &c in classes {
+        ledgers[c.index()].unattributed_requests += 1;
     }
     ledgers
 }

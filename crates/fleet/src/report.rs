@@ -71,8 +71,8 @@ pub struct FleetReport {
     pub admission_shed_requests: usize,
     /// Per-class QoS ledgers in [`RequestClass::ALL`] order (paid,
     /// free): offered/shed counts are exact at the fleet edge;
-    /// completions are attributed where devices report per-request
-    /// outcomes (see [`ClassLedger`]).
+    /// completions are attributed on surrogate devices (see
+    /// [`ClassLedger`]).
     pub class_ledgers: Vec<ClassLedger>,
     /// Autoscaling transitions, in time order (empty without an
     /// autoscale policy).

@@ -28,14 +28,12 @@
 //!   the *nominal* service time the walk is the engine's own queue.
 //!
 //! Admission-control load shedding (`DegradationPolicy::shed_above`)
-//! *is* modelled, with the engine's exact rule: an arrival is shed when
-//! the queue of forming plus formed-but-not-yet-in-service requests is
-//! at or beyond the threshold, and shed counts land in the same
-//! `SimReport`/`SloReport` fields the engine fills — never a hardcoded
-//! zero. The walk also records a `RequestOutcome` per arrival
-//! (completed with its latency, shed, or stranded at the horizon),
-//! which is what lets the fleet layer attribute per-class SLO ledgers
-//! without re-deriving request fates from sorted aggregates.
+//! is modelled: an arrival is shed when the queue of forming plus
+//! formed-but-not-yet-in-service requests is at or beyond the
+//! threshold. Every batch and request fate is recorded in the same
+//! [`RunLedger`] the engine records into, and in the request's
+//! [`ClassLedger`] in the same step, which is how the fleet attributes
+//! per-class SLO ledgers.
 //!
 //! Faults, software scheduling, and the remaining degradation knobs
 //! (training preemption, batch shrinking, retries) are *not* modelled;
@@ -43,40 +41,23 @@
 
 use crate::device::DeviceSpec;
 use crate::fitted::FittedTable;
+use crate::report::epoch_cycles;
 use equinox_arith::rng::SplitMix64;
 use equinox_sim::{
-    BatchingPolicy, CostModel, CycleBreakdown, LatencyStats, SimReport, SloReport, SloSpec,
-    WARMUP_FRACTION,
+    BatchingPolicy, ClassLedger, CostModel, EngineTally, LatencyStats, RequestClass, RunLedger,
+    SimReport, SloSpec, TrainingTally,
 };
 use std::collections::VecDeque;
 
-/// The fate of one request under the surrogate walk, in arrival order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum RequestOutcome {
-    /// Served to completion inside the horizon. `measured` is the
-    /// engine's warmup rule: the arrival fell past the warmup window,
-    /// so the latency sample counts toward the report.
-    Completed {
-        latency_s: f64,
-        measured: bool,
-        /// This request's share of its batch's MMU occupancy cycles —
-        /// the currency of harvest displacement attribution.
-        busy_cycles: f64,
-    },
-    /// Turned away by the device's `shed_above` admission control.
-    Shed { measured: bool },
-    /// Still forming, queued, or in flight at the horizon. `missed` is
-    /// the engine's stranded rule: past warmup with the deadline
-    /// already expired, so it counts as a deadline miss.
-    Stranded { missed: bool },
-}
-
-/// A surrogate evaluation: the engine-shaped report plus the
-/// per-request outcome trace backing it.
+/// A surrogate evaluation: the engine-shaped report and the per-class
+/// ledgers of the same requests.
 pub(crate) struct SurrogateRun {
     pub report: SimReport,
-    /// One outcome per input arrival, in input order.
-    pub outcomes: Vec<RequestOutcome>,
+    /// Per-class ledgers in [`RequestClass::ALL`] order: sheds,
+    /// measured completions and their latencies, deadline misses and
+    /// displaced epochs. Offered counts stay zero — the fleet edge owns
+    /// them.
+    pub ledgers: [ClassLedger; 2],
     /// Inference energy of the completed batches, joules (0 under a
     /// one-point table, which prices no energy).
     pub energy_j: f64,
@@ -87,7 +68,7 @@ pub(crate) struct SurrogateRun {
 /// end.
 struct Walk<'a> {
     arrivals: &'a [u64],
-    n: usize,
+    classes: &'a [RequestClass],
     table: &'a FittedTable,
     /// The device-local stream of per-batch uniforms.
     rng: SplitMix64,
@@ -96,12 +77,6 @@ struct Walk<'a> {
     /// at occupancy).
     harvesting: bool,
     horizon: f64,
-    warmup: f64,
-    freq: f64,
-    deadline_s: Option<f64>,
-    useful: f64,
-    mmu_busy: f64,
-    stall: f64,
     nominal: f64,
     /// Indices of requests still forming a batch.
     forming: Vec<usize>,
@@ -113,9 +88,13 @@ struct Walk<'a> {
     queued: usize,
     /// End of the serial server's schedule tail.
     tail_busy: f64,
-    outcomes: Vec<RequestOutcome>,
-    breakdown: CycleBreakdown,
-    latencies: Vec<f64>,
+    ledger: RunLedger,
+    class_ledgers: [ClassLedger; 2],
+    /// Latencies of each class's measured completions.
+    class_latencies: [Vec<f64>; 2],
+    /// Free-training epochs one MMU busy cycle displaces
+    /// ([`epochs_per_busy_cycle`]).
+    epochs_per_busy_cycle: f64,
     inference_busy: f64,
     /// Training's co-run MMU share while stretched batches were in
     /// flight: Σ (duration − occupancy) over completed batches. Zero
@@ -123,24 +102,14 @@ struct Walk<'a> {
     corun_cycles: f64,
     /// Inference energy of completed batches, joules.
     energy_j: f64,
-    completed: u64,
-    completed_measured: usize,
-    deadline_misses: usize,
-    batches_issued: u64,
-    incomplete_batches: u64,
-    peak_queue: usize,
-    shed_total: u64,
-    shed_measured: usize,
-    stranded_count: usize,
-    stranded_misses: usize,
 }
 
 impl Walk<'_> {
-    /// The engine's stranded-miss rule for an arrival still queued at
-    /// the horizon.
-    fn stranded_missed(&self, a: u64) -> bool {
-        let Some(deadline_s) = self.deadline_s else { return false };
-        (a as f64) >= self.warmup && (self.horizon - a as f64) / self.freq > deadline_s
+    /// Request `i` is unfinished at the horizon.
+    fn strand(&mut self, i: usize) {
+        if self.ledger.stranded(self.arrivals[i]) {
+            self.class_ledgers[self.classes[i].index()].deadline_misses += 1;
+        }
     }
 
     /// Forms one batch at `ready`, prices it with one table draw,
@@ -149,8 +118,8 @@ impl Walk<'_> {
     /// formation). Members stay in `queued` via `pending` until their
     /// service start passes the walk's clock.
     fn form_batch(&mut self, members: Vec<usize>, ready: f64) {
-        self.batches_issued += 1;
         let real = members.len();
+        self.ledger.batch_formed(real);
         // The fitted table's contention proxy: the backlog behind this
         // batch (the engine's sampler measures the queue after the
         // serviced batch leaves it).
@@ -165,43 +134,32 @@ impl Walk<'_> {
         if end > self.horizon {
             // The server is serial and starts are monotone: this batch
             // and every later one miss the horizon.
-            for &i in &members {
-                let missed = self.stranded_missed(self.arrivals[i]);
-                self.outcomes[i] = RequestOutcome::Stranded { missed };
-                self.stranded_count += 1;
-                if missed {
-                    self.stranded_misses += 1;
-                }
+            for i in members {
+                self.strand(i);
             }
             return;
         }
         self.inference_busy += duration;
         self.corun_cycles += duration - occupancy;
         self.energy_j += draw.energy_j;
-        if real < self.n {
-            self.incomplete_batches += 1;
-        }
+        // Each member is charged its share of the batch's occupancy.
+        // Batches form in arrival order, so each class sums its
+        // displaced epochs in arrival order.
         let busy_cycles = occupancy / real as f64;
-        for &i in &members {
-            self.completed += 1;
-            let a = self.arrivals[i] as f64;
-            let latency_s = (end - a) / self.freq;
-            let measured = a >= self.warmup;
-            self.outcomes[i] = RequestOutcome::Completed { latency_s, measured, busy_cycles };
-            if measured {
-                self.latencies.push(latency_s);
-                self.completed_measured += 1;
-                if self.deadline_s.is_some_and(|d| latency_s > d) {
-                    self.deadline_misses += 1;
-                }
+        for i in members {
+            let done = self.ledger.completed(self.arrivals[i], end);
+            let class = self.classes[i].index();
+            let l = &mut self.class_ledgers[class];
+            l.displaced_epochs += busy_cycles * self.epochs_per_busy_cycle;
+            if done.measured {
+                l.completed_requests += 1;
+                l.deadline_misses += usize::from(done.missed);
+                self.class_latencies[class].push(done.latency_s);
             }
         }
-        // The engine's per-batch Figure 8 accounting, plus the draw's
-        // pessimism cycles (occupancy above nominal) as wasted time.
-        self.breakdown.working += self.useful * real as f64 / self.n as f64;
-        self.breakdown.dummy += self.useful * (self.n - real) as f64 / self.n as f64;
-        self.breakdown.other +=
-            (self.mmu_busy - self.useful) + self.stall + (occupancy - self.nominal).max(0.0);
+        // The draw's pessimism cycles (occupancy above nominal) are
+        // wasted time.
+        self.ledger.batch_served(real, (occupancy - self.nominal).max(0.0));
     }
 }
 
@@ -209,7 +167,7 @@ impl Walk<'_> {
 /// service can actually use: staging supply over the profile's
 /// bytes-per-executed-cycle appetite, capped at 1. Zero without a
 /// co-hosted profile.
-pub(crate) fn idle_harvest_rate(spec: &DeviceSpec) -> f64 {
+fn idle_harvest_rate(spec: &DeviceSpec) -> f64 {
     let Some(profile) = spec.training.as_ref() else { return 0.0 };
     let bytes_per_exec =
         profile.iteration_dram_bytes as f64 / profile.iteration_mmu_cycles as f64;
@@ -221,25 +179,42 @@ pub(crate) fn idle_harvest_rate(spec: &DeviceSpec) -> f64 {
     }
 }
 
-/// Evaluates `spec`'s share of the traffic with the surrogate walk,
-/// keeping the per-request outcome trace (see the module docs).
-/// `arrivals` are sorted device-clock cycles; per-batch service is
-/// drawn from `table` on a device-local stream seeded with `seed` (the
-/// fleet passes stream `2 + device_index`, see the crate docs), so the
-/// result is a pure function of the inputs at any thread count. The
-/// embedded report has the same shape the engine produces, so fleet
-/// merging is fidelity-agnostic.
+/// The free-training epochs one MMU busy cycle displaces on `spec`,
+/// charged to each completion — first-order attribution: had the
+/// request not been served, its occupancy would have been idle and
+/// harvested at the DRAM-capped rate. Zero on a device that does not
+/// harvest ([`DeviceSpec::harvests`]).
+fn epochs_per_busy_cycle(spec: &DeviceSpec) -> f64 {
+    let Some(profile) = spec.training.as_ref().filter(|_| spec.harvests()) else {
+        return 0.0;
+    };
+    let epoch_cycles = epoch_cycles(profile);
+    if epoch_cycles > 0.0 {
+        idle_harvest_rate(spec) / epoch_cycles
+    } else {
+        0.0
+    }
+}
+
+/// Evaluates `spec`'s share of the traffic with the surrogate walk.
+/// `arrivals` are sorted device-clock cycles and `classes` each
+/// request's class, in step; per-batch service is drawn from `table`
+/// on a device-local stream seeded with `seed` (the fleet passes stream
+/// `2 + device_index`, see the crate docs), so the result is a pure
+/// function of the inputs at any thread count. The report has the
+/// shape the engine produces, so fleet merging is fidelity-agnostic.
 pub(crate) fn run(
     spec: &DeviceSpec,
     table: &FittedTable,
     arrivals: &[u64],
+    classes: &[RequestClass],
     horizon: u64,
     slo: Option<SloSpec>,
     seed: u64,
 ) -> SurrogateRun {
-    let freq = spec.config.freq_hz;
+    debug_assert_eq!(arrivals.len(), classes.len());
     let timing = &spec.timing;
-    let n = timing.batch.max(1);
+    let n = timing.batch;
     // The dispatcher's formation deadline is keyed to the *nominal*
     // service time (it is a policy of the real hardware, not of the
     // bound), exactly as in the engine.
@@ -252,38 +227,23 @@ pub(crate) fn run(
     let shed_above = spec.config.degradation.shed_above;
     let mut walk = Walk {
         arrivals,
-        n,
+        classes,
         table,
         rng: SplitMix64::seed_from_u64(seed),
         harvesting: spec.harvests(),
         horizon: horizon as f64,
-        warmup: horizon as f64 * WARMUP_FRACTION,
-        freq,
-        deadline_s: slo.map(|s| s.deadline_s),
-        useful: timing.mmu_busy_cycles as f64 * timing.mmu_utilization,
-        mmu_busy: timing.mmu_busy_cycles as f64,
-        stall: timing.stall_cycles as f64,
         nominal: timing.total_cycles as f64,
         forming: Vec::new(),
         pending: VecDeque::new(),
         queued: 0,
         tail_busy: 0.0,
-        outcomes: vec![RequestOutcome::Stranded { missed: false }; arrivals.len()],
-        breakdown: CycleBreakdown::default(),
-        latencies: Vec::new(),
+        ledger: RunLedger::new(&spec.config, *timing, arrivals.len(), horizon, slo),
+        class_ledgers: RequestClass::ALL.map(ClassLedger::empty),
+        class_latencies: [Vec::new(), Vec::new()],
+        epochs_per_busy_cycle: epochs_per_busy_cycle(spec),
         inference_busy: 0.0,
         corun_cycles: 0.0,
         energy_j: 0.0,
-        completed: 0,
-        completed_measured: 0,
-        deadline_misses: 0,
-        batches_issued: 0,
-        incomplete_batches: 0,
-        peak_queue: 0,
-        shed_total: 0,
-        shed_measured: 0,
-        stranded_count: 0,
-        stranded_misses: 0,
     };
 
     for (i, &t) in arrivals.iter().enumerate() {
@@ -309,21 +269,15 @@ pub(crate) fn run(
                 break;
             }
         }
-        // Admission control: the engine's shed rule, verbatim.
-        if let Some(k) = shed_above {
-            if walk.queued >= k {
-                let measured = ta >= walk.warmup;
-                walk.outcomes[i] = RequestOutcome::Shed { measured };
-                walk.shed_total += 1;
-                if measured {
-                    walk.shed_measured += 1;
-                }
-                continue;
-            }
+        // Admission control.
+        if shed_above.is_some_and(|k| walk.queued >= k) {
+            walk.ledger.shed(t);
+            walk.class_ledgers[classes[i].index()].shed_requests += 1;
+            continue;
         }
         walk.forming.push(i);
         walk.queued += 1;
-        walk.peak_queue = walk.peak_queue.max(walk.queued);
+        walk.ledger.observe_queue(walk.queued);
         if walk.forming.len() >= n {
             let members = std::mem::take(&mut walk.forming);
             walk.form_batch(members, ta);
@@ -338,22 +292,15 @@ pub(crate) fn run(
         }
     }
     // Whatever is still forming at the horizon is stranded.
-    for &i in &walk.forming {
-        let missed = walk.stranded_missed(arrivals[i]);
-        walk.outcomes[i] = RequestOutcome::Stranded { missed };
-        walk.stranded_count += 1;
-        if missed {
-            walk.stranded_misses += 1;
-        }
+    for i in std::mem::take(&mut walk.forming) {
+        walk.strand(i);
     }
-    let final_queue_depth = walk.stranded_count;
-    let peak_queue = walk.peak_queue.max(final_queue_depth);
 
     // Harvest: idle cycles DRAM-capped, plus the co-run share training
     // received while stretched batches were in flight (none at stretch
     // 1, which is what keeps a one-point table conservative).
     let idle = (horizon as f64 - walk.inference_busy).max(0.0);
-    let (training_cycles, idle_harvest, training_macs) = if walk.harvesting {
+    let (cycles, idle_harvest, macs) = if walk.harvesting {
         let profile = spec.training.as_ref().expect("a harvesting device co-hosts training");
         let idle_harvest = idle * idle_harvest_rate(spec);
         let cycles = walk.corun_cycles + idle_harvest;
@@ -363,55 +310,24 @@ pub(crate) fn run(
     } else {
         (0.0, 0.0, 0.0)
     };
-    let mut breakdown = walk.breakdown;
-    breakdown.working += training_cycles;
-    breakdown.idle = (idle - idle_harvest).max(0.0);
-
-    let elapsed_s = horizon as f64 / freq;
-    let measured_s = elapsed_s * (1.0 - WARMUP_FRACTION);
-    let latency = LatencyStats::from_samples(walk.latencies);
-    let slo_report = slo.map(|spec| SloReport {
-        deadline_s: spec.deadline_s,
-        measured_requests: walk.completed_measured + walk.shed_measured + walk.stranded_misses,
-        deadline_misses: walk.deadline_misses + walk.stranded_misses,
-        shed_requests: walk.shed_measured,
-        dropped_requests: 0,
-        p999_s: latency.p999(),
-        peak_queue_depth: peak_queue,
-        final_queue_depth,
-        corrupted_batches: 0,
-        retried_batches: 0,
-        dropped_batches: 0,
-        recovery_cycles: None,
-        recovered: true,
-    });
-    let report = SimReport {
-        name: spec.config.name.clone(),
-        horizon_cycles: horizon,
-        freq_hz: freq,
-        latency,
-        completed_requests: walk.completed,
-        inference_throughput_ops: 2.0
-            * walk.completed_measured as f64
-            * timing.macs_per_request as f64
-            / measured_s,
-        training_throughput_ops: 2.0 * training_macs / elapsed_s,
-        training_mmu_cycles: training_cycles,
-        breakdown,
-        batches_issued: walk.batches_issued,
-        incomplete_batches: walk.incomplete_batches,
-        training_blocks: 0,
-        shed_requests: walk.shed_total,
-        dropped_requests: 0,
-        slo: slo_report,
-    };
-    SurrogateRun { report, outcomes: walk.outcomes, energy_j: walk.energy_j }
+    let training = TrainingTally { cycles, macs, idle_cycles: (idle - idle_harvest).max(0.0) };
+    let mut ledgers = walk.class_ledgers;
+    for (l, samples) in ledgers.iter_mut().zip(walk.class_latencies) {
+        l.latency = LatencyStats::from_samples(samples);
+    }
+    SurrogateRun {
+        report: walk.ledger.finish(training, EngineTally::default()),
+        ledgers,
+        energy_j: walk.energy_j,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::tests::test_device;
+    use equinox_arith::check;
+    use equinox_isa::lower::InferenceTiming;
     use equinox_sim::loadgen::poisson_arrivals;
     use equinox_sim::{BatchSample, FaultScenario};
 
@@ -427,6 +343,13 @@ mod tests {
         arrivals_at(0.3, horizon, 7)
     }
 
+    /// A class for each of `len` requests: every third one free.
+    fn mixed_classes(len: usize) -> Vec<RequestClass> {
+        (0..len)
+            .map(|i| if i % 3 == 0 { RequestClass::Free } else { RequestClass::Paid })
+            .collect()
+    }
+
     /// The walk over a one-point table charging `service_cycles` a
     /// batch.
     fn run_fixed(
@@ -437,36 +360,97 @@ mod tests {
         slo: Option<SloSpec>,
     ) -> SurrogateRun {
         let table = FittedTable::fixed("test", d.timing.batch, service_cycles).unwrap();
-        run(d, &table, arrivals, horizon, slo, 0)
+        run(d, &table, arrivals, &mixed_classes(arrivals.len()), horizon, slo, 0)
     }
 
-    #[test]
-    fn exact_bounds_reproduce_the_engine_on_light_traffic() {
-        // With lower = upper = the nominal service time, the surrogate
-        // and the engine implement the same queue; their latency
-        // distributions must agree to the engine's event epsilons.
-        let d = test_device("d0", 1e9, false);
-        let horizon = 2_000 * 16_000;
-        let arrivals = light_arrivals(horizon);
-        let slo = Some(SloSpec::new(16.0 * 16_000.0 / 1e9).unwrap());
-        let surrogate =
-            run_fixed(&d, d.timing.total_cycles, &arrivals, horizon, slo).report;
+    /// Runs `d` through both tiers, the walk over a one-point table at
+    /// the nominal service time and the engine, and asserts that they
+    /// agree on every count of the report and on every latency to
+    /// within one cycle. `case` names the inputs in a failure. Returns
+    /// the walk's report.
+    fn assert_tiers_agree(
+        d: &DeviceSpec,
+        arrivals: &[u64],
+        horizon: u64,
+        slo: SloSpec,
+        case: &str,
+    ) -> SimReport {
+        let walk = run_fixed(d, d.timing.total_cycles, arrivals, horizon, Some(slo)).report;
         let engine = d
             .simulation()
             .unwrap()
-            .run_faulted(&arrivals, horizon, &FaultScenario::baseline(), slo)
+            .run_faulted(arrivals, horizon, &FaultScenario::baseline(), Some(slo))
             .unwrap();
-        assert_eq!(surrogate.completed_requests, engine.completed_requests);
-        assert_eq!(surrogate.batches_issued, engine.batches_issued);
-        assert_eq!(surrogate.incomplete_batches, engine.incomplete_batches);
-        assert_eq!(surrogate.latency.count(), engine.latency.count());
-        for (a, b) in surrogate.latency.samples().iter().zip(engine.latency.samples()) {
-            assert!((a - b).abs() * 1e9 < 1.0, "{a} vs {b}");
+        let counts = |r: &SimReport| {
+            let s = r.slo.as_ref().unwrap();
+            [
+                ("completed", r.completed_requests as usize),
+                ("shed", r.shed_requests as usize),
+                ("measured shed", s.shed_requests),
+                ("batches issued", r.batches_issued as usize),
+                ("incomplete batches", r.incomplete_batches as usize),
+                ("deadline misses", s.deadline_misses),
+                ("measured requests", s.measured_requests),
+                ("final queue", s.final_queue_depth),
+                ("peak queue", s.peak_queue_depth),
+                ("latency samples", r.latency.count()),
+            ]
+        };
+        assert_eq!(counts(&walk), counts(&engine), "{case}: the walk's counts, then the engine's");
+        for (a, b) in walk.latency.samples().iter().zip(engine.latency.samples()) {
+            let cycles = (a - b).abs() * d.config.freq_hz;
+            assert!(cycles <= 1.0, "{case}: latency {a} s vs the engine's {b} s");
         }
-        assert_eq!(
-            surrogate.slo.as_ref().unwrap().deadline_misses,
-            engine.slo.as_ref().unwrap().deadline_misses
-        );
+        walk
+    }
+
+    #[test]
+    fn a_one_point_table_at_the_nominal_service_time_is_the_engine() {
+        // With lower = upper = the nominal service time the walk and the
+        // engine serve the same queue. First two fixed cases: light
+        // traffic, and a shedding device at 1.5× overload.
+        let horizon = 2_000 * 16_000;
+        let slo = SloSpec::new(16.0 * 16_000.0 / 1e9).unwrap();
+        let d = test_device("d0", 1e9, false);
+        assert_tiers_agree(&d, &light_arrivals(horizon), horizon, slo, "light traffic");
+        let mut shedding = d.clone();
+        shedding.config.degradation.shed_above = Some(8 * 16);
+        let overload =
+            assert_tiers_agree(&shedding, &arrivals_at(1.5, horizon, 11), horizon, slo, "overload");
+        assert!(overload.shed_requests > 0, "overload must shed");
+        assert!(overload.slo.unwrap().peak_queue_depth <= 8 * 16 + 16, "shedding bounds the queue");
+        // Then random inference-only devices.
+        check::for_each_case(400, 0xC0FFEE, |g| {
+            let n = g.usize_in(1, 65);
+            let service = g.usize_in(1_000, 50_001) as u64;
+            let mut d = test_device("d0", 1e9, false);
+            d.timing = InferenceTiming {
+                total_cycles: service,
+                mmu_busy_cycles: service * 3 / 4,
+                stall_cycles: service / 16,
+                simd_busy_cycles: service / 8,
+                total_macs: n as u64 * d.timing.macs_per_request,
+                batch: n,
+                ..d.timing
+            };
+            d.config.batching = if g.usize_in(0, 4) == 0 {
+                BatchingPolicy::Static
+            } else {
+                BatchingPolicy::Adaptive { threshold_x: g.f64_in(0.25, 8.0) }
+            };
+            d.config.degradation.shed_above = g.next_bool().then(|| g.usize_in(n, 16 * n + 1));
+            let load = g.f64_in(0.05, 1.6);
+            let deadline_s = g.f64_in(1.5, 32.0) * service as f64 / d.config.freq_hz;
+            let horizon = g.usize_in(50, 801) as u64 * service;
+            let rate = load * n as f64 / service as f64;
+            let arrivals = poisson_arrivals(rate, horizon, g.next_u64()).unwrap();
+            let case = format!(
+                "batch {n}, service {service}, {:?}, shed above {:?}, load {load:.3}, \
+                 deadline {deadline_s:.3e} s, horizon {horizon}",
+                d.config.batching, d.config.degradation.shed_above
+            );
+            assert_tiers_agree(&d, &arrivals, horizon, SloSpec::new(deadline_s).unwrap(), &case);
+        });
     }
 
     #[test]
@@ -538,34 +522,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shed_counts_are_honest_against_the_engine() {
-        // A shedding device under 1.5× overload, exact bounds: the
-        // surrogate implements the engine's shed rule over the same
-        // queue, so the shed ledger must agree — not be hardcoded zero.
-        let mut d = test_device("d0", 1e9, false);
-        d.config.degradation.shed_above = Some(8 * 16);
-        let horizon = 2_000 * 16_000;
-        let arrivals = arrivals_at(1.5, horizon, 11);
-        let slo = Some(SloSpec::new(16.0 * 16_000.0 / 1e9).unwrap());
-        let surrogate =
-            run_fixed(&d, d.timing.total_cycles, &arrivals, horizon, slo).report;
-        let engine = d
-            .simulation()
-            .unwrap()
-            .run_faulted(&arrivals, horizon, &FaultScenario::baseline(), slo)
-            .unwrap();
-        assert!(surrogate.shed_requests > 0, "overload must shed");
-        assert_eq!(surrogate.shed_requests, engine.shed_requests);
-        assert_eq!(
-            surrogate.slo.as_ref().unwrap().shed_requests,
-            engine.slo.as_ref().unwrap().shed_requests
-        );
-        assert_eq!(surrogate.completed_requests, engine.completed_requests);
-        // Shedding bounds the queue at the threshold.
-        assert!(surrogate.slo.as_ref().unwrap().peak_queue_depth <= 8 * 16 + 16);
-    }
-
     /// A single-bucket table whose every draw is the device's nominal
     /// occupancy at the given stretch, pricing `energy` joules a batch.
     fn degenerate_table(d: &DeviceSpec, stretch: f64, energy: f64) -> FittedTable {
@@ -599,11 +555,12 @@ mod tests {
         let arrivals = light_arrivals(horizon);
         let calm = degenerate_table(&d, 1.0, 0.5);
         let stretched = degenerate_table(&d, 2.0, 0.5);
-        let a = run(&d, &calm, &arrivals, horizon, None, 7);
-        let b = run(&d, &stretched, &arrivals, horizon, None, 7);
+        let classes = mixed_classes(arrivals.len());
+        let a = run(&d, &calm, &arrivals, &classes, horizon, None, 7);
+        let b = run(&d, &stretched, &arrivals, &classes, horizon, None, 7);
         // Every draw of a one-point grid is the same, so the draw seed
         // changes nothing.
-        let reseeded = run(&d, &calm, &arrivals, horizon, None, 8);
+        let reseeded = run(&d, &calm, &arrivals, &classes, horizon, None, 8);
         assert_eq!(reseeded.report.latency.samples(), a.report.latency.samples());
         assert!(
             b.report.latency.p99() > a.report.latency.p99(),
@@ -622,16 +579,12 @@ mod tests {
             b.report.training_mmu_cycles,
             a.report.training_mmu_cycles
         );
-        // Completed outcomes carry their occupancy share for
-        // displacement attribution.
-        let busy: f64 = b
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                RequestOutcome::Completed { busy_cycles, .. } => *busy_cycles,
-                _ => 0.0,
-            })
-            .sum();
+        // Every completion is charged its share of its batch's
+        // occupancy, priced in displaced epochs; both classes carry
+        // some.
+        let [paid, free] = &b.ledgers;
+        assert!(paid.displaced_epochs > 0.0 && free.displaced_epochs > 0.0);
+        let busy = (paid.displaced_epochs + free.displaced_epochs) / epochs_per_busy_cycle(&d);
         // Each completed batch's members share exactly its occupancy
         // (here the nominal), so the total is a whole number of
         // batches — at least as many as the completed requests fill.
@@ -680,44 +633,63 @@ mod tests {
         )
         .unwrap();
         let horizon = 2_000 * 16_000;
-        let light = run(&d, &table, &arrivals_at(0.2, horizon, 3), horizon, None, 5);
-        let heavy = run(&d, &table, &arrivals_at(0.9, horizon, 3), horizon, None, 5);
+        let run_at = |load| {
+            let arrivals = arrivals_at(load, horizon, 3);
+            run(&d, &table, &arrivals, &mixed_classes(arrivals.len()), horizon, None, 5)
+        };
+        let (light, heavy) = (run_at(0.2), run_at(0.9));
         assert!(heavy.report.latency.p99() > light.report.latency.p99());
         assert!(heavy.report.training_mmu_cycles > 0.0, "co-run harvest under contention");
     }
 
     #[test]
-    fn outcome_trace_conserves_requests_and_matches_the_report() {
+    fn class_ledgers_split_the_device_report_by_class() {
         for (load, shed_above) in [(0.3, None), (1.5, Some(64)), (1.5, None)] {
             let mut d = test_device("d0", 1e9, false);
             d.config.degradation.shed_above = shed_above;
             let horizon = 1_000 * 16_000;
             let arrivals = arrivals_at(load, horizon, 5);
             let slo = Some(SloSpec::new(16.0 * 16_000.0 / 1e9).unwrap());
-            let run =
-                run_fixed(&d, d.timing.total_cycles, &arrivals, horizon, slo);
-            assert_eq!(run.outcomes.len(), arrivals.len());
-            let mut completed = 0u64;
-            let mut shed = 0u64;
-            let mut stranded = 0usize;
-            for o in &run.outcomes {
-                match o {
-                    RequestOutcome::Completed { latency_s, .. } => {
-                        assert!(*latency_s > 0.0);
-                        completed += 1;
-                    }
-                    RequestOutcome::Shed { .. } => shed += 1,
-                    RequestOutcome::Stranded { .. } => stranded += 1,
-                }
+            let run = run_fixed(&d, d.timing.total_cycles, &arrivals, horizon, slo);
+            let (r, s) = (&run.report, run.report.slo.as_ref().unwrap());
+            let [paid, free] = &run.ledgers;
+            // The class tallies sum to the device's sheds, measured
+            // completions and misses, and their latencies are its
+            // latencies.
+            assert_eq!(paid.shed_requests + free.shed_requests, r.shed_requests as usize);
+            assert_eq!(paid.completed_requests + free.completed_requests, r.latency.count());
+            assert_eq!(paid.deadline_misses + free.deadline_misses, s.deadline_misses);
+            assert_eq!(LatencyStats::merged([&paid.latency, &free.latency]), r.latency);
+            assert!(r.latency.samples()[0] > 0.0, "load {load}");
+            assert!(paid.completed_requests > 0 && free.completed_requests > 0, "load {load}");
+            // Only the fleet edge counts offered requests, and an
+            // inference-only device displaces no harvest.
+            for l in [paid, free] {
+                assert_eq!((l.offered_requests, l.unattributed_requests), (0, 0));
+                assert_eq!(l.displaced_epochs, 0.0);
             }
-            assert_eq!(completed, run.report.completed_requests, "load {load}");
-            assert_eq!(shed, run.report.shed_requests, "load {load}");
+            // Every request lands in exactly one fate.
             assert_eq!(
-                stranded,
-                run.report.slo.as_ref().unwrap().final_queue_depth,
-                "load {load}"
+                r.completed_requests + r.shed_requests + s.final_queue_depth as u64,
+                arrivals.len() as u64
             );
-            assert_eq!(completed + shed + stranded as u64, arrivals.len() as u64);
+            // Each fate follows its own request's class: swapping every
+            // class swaps the two ledgers.
+            let swapped: Vec<RequestClass> = mixed_classes(arrivals.len())
+                .into_iter()
+                .map(|c| match c {
+                    RequestClass::Paid => RequestClass::Free,
+                    RequestClass::Free => RequestClass::Paid,
+                })
+                .collect();
+            let table =
+                FittedTable::fixed("test", d.timing.batch, d.timing.total_cycles).unwrap();
+            let [paid_now, free_now] =
+                super::run(&d, &table, &arrivals, &swapped, horizon, slo, 0).ledgers;
+            let unclassed =
+                |l: &ClassLedger| ClassLedger { class: RequestClass::Paid, ..l.clone() };
+            assert_eq!(unclassed(&paid_now), unclassed(free), "load {load}");
+            assert_eq!(unclassed(&free_now), unclassed(paid), "load {load}");
         }
     }
 }

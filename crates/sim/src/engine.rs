@@ -21,19 +21,14 @@
 use crate::config::{AcceleratorConfig, BatchingPolicy, SchedulerPolicy};
 use crate::cost::CostModel;
 use crate::fault::FaultScenario;
+use crate::ledger::{EngineTally, RunLedger, TrainingTally};
 use crate::report::SimReport;
-use crate::slo::{SloReport, SloSpec};
-use crate::stats::{CycleBreakdown, LatencyStats};
+use crate::slo::SloSpec;
 use equinox_arith::rng::SplitMix64;
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::training::TrainingProfile;
 use equinox_isa::EquinoxError;
 use std::collections::VecDeque;
-
-/// Fraction of the horizon treated as warm-up (excluded from latency
-/// statistics but fully simulated). Public so alternative evaluators
-/// (the fleet surrogate, calibration probes) measure the same window.
-pub const WARMUP_FRACTION: f64 = 0.05;
 
 /// Numerical slack on cycle comparisons.
 const EPS: f64 = 1e-6;
@@ -102,8 +97,6 @@ struct PendingSample {
 struct Batch {
     /// Arrival cycles of the real requests in the batch.
     arrivals: Vec<u64>,
-    /// Dummy (padding) slots.
-    dummy: usize,
     /// Completed executions that came back corrupted (0 for a batch
     /// that has never been corrupted).
     attempts: u32,
@@ -260,7 +253,6 @@ struct Engine<'a> {
     sim: &'a Simulation,
     arrivals: &'a [u64],
     horizon: f64,
-    warmup: f64,
     now: f64,
     next_arrival: usize,
     /// Requests gathered toward the next batch.
@@ -276,8 +268,6 @@ struct Engine<'a> {
     // Fault injection and QoS monitoring.
     /// The active fault scenario (baseline when fault-free).
     scenario: &'a FaultScenario,
-    /// The SLO this run is held against, if any.
-    slo: Option<SloSpec>,
     /// Deterministic per-batch corruption draws.
     corruption_rng: Option<SplitMix64>,
     /// Corrupted batches backing off before re-execution, with the
@@ -287,9 +277,6 @@ struct Engine<'a> {
     /// cleared when it fully drains (hysteresis, so an idle MMU issues
     /// partial batches immediately while the backlog persists).
     shrink_mode: bool,
-    /// Cycle at which the queue first drained back to ≤ one batch after
-    /// the last disturbance window.
-    recovery_at: Option<f64>,
     // Batch sampling (the fitted-surrogate calibration hook).
     /// `Some` when the caller asked for per-batch samples.
     samples: Option<Vec<BatchSample>>,
@@ -298,22 +285,10 @@ struct Engine<'a> {
     // Accumulators.
     training_cycles: f64,
     idle_cycles: f64,
-    breakdown: CycleBreakdown,
-    latencies: Vec<f64>,
-    completed: u64,
-    completed_measured: u64,
-    batches_issued: u64,
-    incomplete_batches: u64,
-    training_block_count: u64,
-    deadline_misses: usize,
-    shed_measured: usize,
-    dropped_measured: usize,
-    shed_total: u64,
-    dropped_total: u64,
-    corrupted_batches: usize,
-    retried_batches: usize,
-    dropped_batches: usize,
-    peak_queue: usize,
+    /// Every batch and request fate, and the report built from them.
+    ledger: RunLedger,
+    /// Retries, dropped batches, software blocks and recovery.
+    tally: EngineTally,
 }
 
 /// Resource allocation over one interval: rates sum to ≤ 1.
@@ -340,7 +315,6 @@ impl<'a> Engine<'a> {
             sim,
             arrivals,
             horizon: horizon_cycles as f64,
-            warmup: horizon_cycles as f64 * WARMUP_FRACTION,
             now: 0.0,
             next_arrival: 0,
             forming: VecDeque::new(),
@@ -349,33 +323,17 @@ impl<'a> Engine<'a> {
             software_block: 0.0,
             staged_bytes: 0.0,
             scenario,
-            slo,
             corruption_rng: scenario
                 .corruption
                 .map(|c| SplitMix64::seed_from_u64(c.seed ^ 0xC0441)),
             pending_retries: VecDeque::new(),
             shrink_mode: false,
-            recovery_at: None,
             samples: sample.then(Vec::new),
             pending_sample: None,
             training_cycles: 0.0,
             idle_cycles: 0.0,
-            breakdown: CycleBreakdown::default(),
-            latencies: Vec::new(),
-            completed: 0,
-            completed_measured: 0,
-            batches_issued: 0,
-            incomplete_batches: 0,
-            training_block_count: 0,
-            deadline_misses: 0,
-            shed_measured: 0,
-            dropped_measured: 0,
-            shed_total: 0,
-            dropped_total: 0,
-            corrupted_batches: 0,
-            retried_batches: 0,
-            dropped_batches: 0,
-            peak_queue: 0,
+            ledger: RunLedger::new(&sim.config, sim.inference, arrivals.len(), horizon_cycles, slo),
+            tally: EngineTally::default(),
         }
     }
 
@@ -479,12 +437,9 @@ impl<'a> Engine<'a> {
     /// Issues the partially-formed batch immediately (padded with
     /// dummies).
     fn issue_partial(&mut self) {
-        let n = self.sim.inference.batch;
-        let real = self.forming.len();
         let arrivals: Vec<u64> = self.forming.drain(..).collect();
-        self.formed.push_back(Batch { arrivals, dummy: n - real, attempts: 0 });
-        self.batches_issued += 1;
-        self.incomplete_batches += 1;
+        self.ledger.batch_formed(arrivals.len());
+        self.formed.push_back(Batch { arrivals, attempts: 0 });
     }
 
     /// Processes all zero-time actions at `self.now`: batch formation,
@@ -516,8 +471,8 @@ impl<'a> Engine<'a> {
             // Full batches.
             while self.forming.len() >= n {
                 let arrivals: Vec<u64> = self.forming.drain(..n).collect();
-                self.formed.push_back(Batch { arrivals, dummy: 0, attempts: 0 });
-                self.batches_issued += 1;
+                self.ledger.batch_formed(n);
+                self.formed.push_back(Batch { arrivals, attempts: 0 });
             }
             // Deadline-triggered incomplete batch.
             if let Some(thr) = self.formation_threshold() {
@@ -561,7 +516,7 @@ impl<'a> Engine<'a> {
                 // non-preemptible training block.
                 if let SchedulerPolicy::Software { block_cycles } = self.sim.config.scheduler {
                     self.software_block = block_cycles as f64;
-                    self.training_block_count += 1;
+                    self.tally.training_blocks += 1;
                 }
             }
         }
@@ -661,7 +616,10 @@ impl<'a> Engine<'a> {
                         });
                     }
                 }
-                self.complete_batch(&batch);
+                for &arrival in &batch.arrivals {
+                    self.ledger.completed(arrival, self.now);
+                }
+                self.ledger.batch_served(batch.arrivals.len(), 0.0);
             }
         }
         if self.software_block <= EPS {
@@ -678,22 +636,19 @@ impl<'a> Engine<'a> {
                 if self.queued_requests() >= k {
                     // Degradation: load shedding. The request is turned
                     // away and accounted as an SLO violation.
-                    self.shed_total += 1;
-                    if (arrival as f64) >= self.warmup {
-                        self.shed_measured += 1;
-                    }
+                    self.ledger.shed(arrival);
                     continue;
                 }
             }
             self.forming.push_back(arrival);
         }
-        self.peak_queue = self.peak_queue.max(self.queued_requests());
+        self.ledger.observe_queue(self.queued_requests());
         // Recovery: the first time the queue drains to at most one batch
         // after the last disturbance window has passed.
-        if self.recovery_at.is_none() {
+        if self.tally.recovered_at.is_none() {
             if let Some(end) = self.scenario.last_disturbance_end() {
                 if self.now >= end as f64 && self.queued_requests() <= self.sim.inference.batch {
-                    self.recovery_at = Some(self.now);
+                    self.tally.recovered_at = Some(self.now);
                 }
             }
         }
@@ -711,16 +666,13 @@ impl<'a> Engine<'a> {
     /// wasted, and the retry policy decides between backoff-and-retry
     /// and dropping the batch's requests.
     fn handle_corruption(&mut self, mut batch: Batch) {
-        self.corrupted_batches += 1;
-        // The whole service interval produced no usable results.
-        let t = &self.sim.inference;
-        self.breakdown.other += t.mmu_busy_cycles as f64 + t.stall_cycles as f64;
+        self.ledger.batch_corrupted();
         let retry = self.sim.config.degradation.retry;
         if batch.attempts < retry.max_attempts {
             let backoff = retry.backoff_cycles as f64
                 * retry.backoff_multiplier.powi(batch.attempts as i32);
             batch.attempts += 1;
-            self.retried_batches += 1;
+            self.tally.retried_batches += 1;
             let ready = self.now + backoff;
             self.pending_retries.push_back((batch, ready));
             // Keep the queue ordered by readiness.
@@ -728,39 +680,11 @@ impl<'a> Engine<'a> {
                 .make_contiguous()
                 .sort_by(|a, b| a.1.total_cmp(&b.1));
         } else {
-            self.dropped_batches += 1;
-            self.dropped_total += batch.arrivals.len() as u64;
+            self.tally.dropped_batches += 1;
             for &arrival in &batch.arrivals {
-                if (arrival as f64) >= self.warmup {
-                    self.dropped_measured += 1;
-                }
+                self.ledger.dropped(arrival);
             }
         }
-    }
-
-    /// Records a finished batch: latencies and the cycle breakdown.
-    fn complete_batch(&mut self, batch: &Batch) {
-        let freq = self.sim.config.freq_hz;
-        for &arrival in &batch.arrivals {
-            self.completed += 1;
-            if (arrival as f64) >= self.warmup {
-                let latency_s = (self.now - arrival as f64) / freq;
-                self.latencies.push(latency_s);
-                self.completed_measured += 1;
-                if let Some(spec) = &self.slo {
-                    if latency_s > spec.deadline_s {
-                        self.deadline_misses += 1;
-                    }
-                }
-            }
-        }
-        let t = &self.sim.inference;
-        let n = t.batch as f64;
-        let useful = t.mmu_busy_cycles as f64 * t.mmu_utilization;
-        let mismatch = t.mmu_busy_cycles as f64 - useful;
-        self.breakdown.working += useful * batch.arrivals.len() as f64 / n;
-        self.breakdown.dummy += useful * batch.dummy as f64 / n;
-        self.breakdown.other += mismatch + t.stall_cycles as f64;
     }
 
     fn run(mut self) -> (SimReport, Vec<BatchSample>) {
@@ -800,88 +724,29 @@ impl<'a> Engine<'a> {
 
     fn finish(mut self) -> (SimReport, Vec<BatchSample>) {
         let samples = self.samples.take().unwrap_or_default();
-        let freq = self.sim.config.freq_hz;
-        let elapsed_s = self.horizon / freq;
-        let measured_s = elapsed_s * (1.0 - WARMUP_FRACTION);
         let training_macs = self
             .training_rates()
             .map(|(macs_per_cycle, _)| self.training_cycles * macs_per_cycle)
             .unwrap_or(0.0);
-        let request_macs = self.sim.inference.macs_per_request as f64;
-        let mut breakdown = self.breakdown;
-        breakdown.working += self.training_cycles;
-        breakdown.idle = self.idle_cycles;
-        let latency = LatencyStats::from_samples(self.latencies);
         // Every request unfinished at the horizon: forming, formed, in
-        // service, or backing off before a retry. With the completed,
-        // shed and dropped ones (`completed_requests`, `shed_requests`
-        // and `dropped_requests` of the report, warm-up included) they
-        // account for every arrival.
-        let unfinished = || {
-            self.forming.iter().chain(
-                self.formed
-                    .iter()
-                    .chain(self.in_flight.iter().map(|(b, _)| b))
-                    .chain(self.pending_retries.iter().map(|(b, _)| b))
-                    .flat_map(|b| b.arrivals.iter()),
-            )
+        // service, or backing off before a retry.
+        let unfinished = self.forming.iter().chain(
+            self.formed
+                .iter()
+                .chain(self.in_flight.iter().map(|(b, _)| b))
+                .chain(self.pending_retries.iter().map(|(b, _)| b))
+                .flat_map(|b| b.arrivals.iter()),
+        );
+        for &arrival in unfinished {
+            self.ledger.stranded(arrival);
+        }
+        self.tally.disturbance_end = self.scenario.last_disturbance_end();
+        let training = TrainingTally {
+            cycles: self.training_cycles,
+            macs: training_macs,
+            idle_cycles: self.idle_cycles,
         };
-        let final_queue_depth = unfinished().count();
-        let slo = self.slo.map(|spec| {
-            let disturbance_end = self.scenario.last_disturbance_end();
-            // Unfinished requests whose deadline has already expired are
-            // misses too — without them, an overloaded run whose queue
-            // grows without bound would report zero violations because
-            // the stuck requests never complete.
-            let stranded = unfinished()
-                .filter(|&&a| {
-                    (a as f64) >= self.warmup
-                        && (self.horizon - a as f64) / freq > spec.deadline_s
-                })
-                .count();
-            SloReport {
-                deadline_s: spec.deadline_s,
-                measured_requests: self.completed_measured as usize
-                    + self.shed_measured
-                    + self.dropped_measured
-                    + stranded,
-                deadline_misses: self.deadline_misses + stranded,
-                shed_requests: self.shed_measured,
-                dropped_requests: self.dropped_measured,
-                p999_s: latency.p999(),
-                // The backlog at the horizon is one more observation
-                // of the queue, so the peak never reads below it.
-                peak_queue_depth: self.peak_queue.max(final_queue_depth),
-                final_queue_depth,
-                corrupted_batches: self.corrupted_batches,
-                retried_batches: self.retried_batches,
-                dropped_batches: self.dropped_batches,
-                recovery_cycles: match (disturbance_end, self.recovery_at) {
-                    (Some(end), Some(at)) => Some(at - end as f64),
-                    _ => None,
-                },
-                recovered: disturbance_end.is_none() || self.recovery_at.is_some(),
-            }
-        });
-        let report = SimReport {
-            name: self.sim.config.name.clone(),
-            horizon_cycles: self.horizon as u64,
-            freq_hz: freq,
-            latency,
-            completed_requests: self.completed,
-            inference_throughput_ops: 2.0 * self.completed_measured as f64 * request_macs
-                / measured_s,
-            training_throughput_ops: 2.0 * training_macs / elapsed_s,
-            training_mmu_cycles: self.training_cycles,
-            breakdown,
-            batches_issued: self.batches_issued,
-            incomplete_batches: self.incomplete_batches,
-            training_blocks: self.training_block_count,
-            shed_requests: self.shed_total,
-            dropped_requests: self.dropped_total,
-            slo,
-        };
-        (report, samples)
+        (self.ledger.finish(training, self.tally), samples)
     }
 }
 

@@ -9,8 +9,10 @@
 //!
 //! Instruction timing comes from the `equinox-isa` compiler; the engine
 //! in [`engine`] advances between state-change events at cycle
-//! resolution. See `DESIGN.md` for the validation strategy (the role the
-//! authors' RTL traces and DRAMSim comparison played).
+//! resolution and records every batch and request fate in a
+//! [`RunLedger`], the accounting the fleet's surrogate walk shares. See
+//! `DESIGN.md` for the validation strategy (the role the authors' RTL
+//! traces and DRAMSim comparison played).
 //!
 //! Beyond the happy path, [`fault`] injects deterministic disturbances
 //! (traffic bursts, DRAM throttling, transient batch corruption,
@@ -43,6 +45,7 @@ pub mod cost;
 pub mod dram;
 pub mod engine;
 pub mod fault;
+pub mod ledger;
 pub mod loadgen;
 pub mod report;
 pub mod slo;
@@ -53,9 +56,10 @@ pub use config::{
     AcceleratorConfig, BatchingPolicy, DegradationPolicy, DramParams, RetryPolicy, SchedulerPolicy,
 };
 pub use cost::{CostModel, EnergyParams};
-pub use engine::{BatchSample, Simulation, WARMUP_FRACTION};
+pub use engine::{BatchSample, Simulation};
 pub use equinox_isa::EquinoxError;
 pub use fault::FaultScenario;
+pub use ledger::{Completion, EngineTally, RunLedger, TrainingTally};
 pub use report::SimReport;
 pub use slo::{ClassLedger, RequestClass, SloReport, SloSpec};
 pub use stats::{CycleBreakdown, LatencyStats};

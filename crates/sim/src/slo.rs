@@ -53,11 +53,11 @@ impl RequestClass {
 ///
 /// Offered and shed counts are exact for every request — they are
 /// decided at the admission edge. Completion fate is *attributed*
-/// per class only where the evaluator reports per-request outcomes
-/// (the fleet's surrogate walk does; the cycle-accurate engine
-/// reports aggregates): requests whose fate cannot be
-/// attributed are counted in `unattributed_requests` rather than
-/// silently folded into a class they may not belong to.
+/// per class only where the evaluator knows each request's class (the
+/// fleet's surrogate walk does; the cycle-accurate engine reports
+/// aggregates): requests whose fate cannot be attributed are counted
+/// in `unattributed_requests` rather than silently folded into a
+/// class they may not belong to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassLedger {
     /// The tier this ledger accounts for.
@@ -78,8 +78,8 @@ pub struct ClassLedger {
     /// Free-training epochs this class's completed traffic displaced:
     /// the MMU cycles its batches occupied, priced at the device's
     /// harvest rate and divided by the cycles one epoch costs. Filled
-    /// only by evaluators that report per-request outcomes on
-    /// harvesting devices; it makes "paid overload ate the harvest"
+    /// only by evaluators that attribute fates, on harvesting devices;
+    /// it makes "paid overload ate the harvest"
     /// directly visible instead of inferable from scaling spans.
     pub displaced_epochs: f64,
     /// Mean extra per-request delay the fleet interconnect's gradient

@@ -2,6 +2,9 @@
 //! what [`Json::render`] writes for its parsed value: strict JSON,
 //! compact, keys in file order, shortest-round-trip floats, no NaN or ∞.
 //!
+//! The fleet and serve sweeps are also parsed back to re-derive their
+//! request conservation from the written counts.
+//!
 //! The parser lives here, not in the library, because only this test
 //! reads an artifact back.
 
@@ -274,6 +277,81 @@ fn every_committed_json_artifact_renders_back_byte_for_byte() {
                 context(&rendered),
             );
         }
+    }
+}
+
+/// The committed `results/<name>`, parsed.
+fn artifact(name: &str) -> Json {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/").to_string() + name;
+    let text = std::fs::read_to_string(&path).expect("readable artifact");
+    parse(body(&text)).unwrap_or_else(|e| panic!("results/{name}: {e}"))
+}
+
+/// The value of `key` in the object `value`.
+fn field<'a>(value: &'a Json, key: &str) -> &'a Json {
+    let Json::Object(fields) = value else { panic!("no object around {key:?}") };
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v).unwrap_or_else(|| panic!("no {key:?}"))
+}
+
+/// The array under `key`.
+fn items<'a>(value: &'a Json, key: &str) -> &'a [Json] {
+    match field(value, key) {
+        Json::Array(items) => items,
+        other => panic!("{key:?} is not an array: {other:?}"),
+    }
+}
+
+/// The integer `value`.
+fn int(value: &Json) -> i128 {
+    match value {
+        Json::Int(i) => *i,
+        other => panic!("not an integer: {other:?}"),
+    }
+}
+
+/// The integer under `key`.
+fn count(value: &Json, key: &str) -> i128 {
+    int(field(value, key))
+}
+
+#[test]
+fn the_fleet_and_serve_sweeps_account_for_every_offered_request() {
+    let serve = artifact("serve_sweep.json");
+    let cells = items(&serve, "cells");
+    assert_eq!(cells.len(), 16, "serve_sweep.json cells");
+    for cell in cells {
+        let what = format!("serve cell {:?} {:?}", field(cell, "kind"), field(cell, "admission"));
+        let offered = count(cell, "offered");
+        let admission_shed = count(cell, "admission_shed");
+        // Each offered request is shed at the edge, completed, shed by
+        // its device or still queued there. A request lost with a
+        // corrupted batch would be a fifth fate, but `serve` injects no
+        // corruption, so the artifact carries no `device_dropped`.
+        assert_eq!(
+            admission_shed
+                + count(cell, "completed")
+                + count(cell, "device_shed")
+                + count(cell, "final_queue"),
+            offered,
+            "{what}"
+        );
+        let assigned: i128 = items(cell, "assigned_per_device").iter().map(int).sum();
+        assert_eq!(assigned + admission_shed, offered, "{what}");
+        let tiers = count(field(cell, "paid"), "offered") + count(field(cell, "free"), "offered");
+        assert_eq!(tiers, offered, "{what}");
+    }
+    let fleet = artifact("fleet_sweep.json");
+    let cells = items(&fleet, "cells");
+    assert_eq!(cells.len(), 36, "fleet_sweep.json cells");
+    for cell in cells {
+        let assigned: i128 = items(cell, "assigned_per_device").iter().map(int).sum();
+        let what = format!(
+            "fleet cell {:?} {:?} {:?}",
+            field(cell, "fleet_size"),
+            field(cell, "policy"),
+            field(cell, "load")
+        );
+        assert_eq!(assigned, count(cell, "offered"), "{what}");
     }
 }
 
