@@ -22,15 +22,25 @@
 //! * **bf16.** A bf16 MAC ([`Bf16::fma_into_f32`]) is `acc + a·b` in
 //!   fp32, so the bf16 GEMM is the fp32 kernel run on operands rounded
 //!   to bf16.
-//! * **hbfp8.** A block dot sums its 8-bit products in a plain `i32`.
-//!   Each product is at most 2^14 in magnitude, so no partial sum of
+//! * **hbfp8.** Both operands are quantized to [`HbfpMatrix`]es, which
+//!   store mantissas row-major on either block axis, so one column block
+//!   of `b` is `block_size` consecutive rows. `b`'s mantissas are
+//!   widened to `i16` once per GEMM, and each row of `a` reduces one
+//!   block against all
+//!   `n` columns at once, vector lanes running across outputs. A block
+//!   dot sums its 8-bit products in a plain `i32`. Each product is at
+//!   most 2^14 in magnitude, so no partial sum of
 //!   `Accumulator25::safe_chain_depth(128, 128)` = 1023 products or fewer
 //!   can reach a 25-bit rail: the modeled accumulator would never
 //!   saturate, and its value is the exact integer sum, which the `i32`
 //!   computes in any order. Longer blocks keep the saturating
-//!   [`Accumulator25`] loop, the only correct model there. The block
-//!   scale `2^(ea+eb)` is built from its exponent bits, which equals
-//!   `exp2` bit for bit.
+//!   [`Accumulator25`] loop, in k order, the only correct model there.
+//!   Each output then adds `dot · 2^(ea+eb)` block by block in k order,
+//!   so it meets the same fp32 roundings, and the same final bf16 one,
+//!   as an output reduced on its own. The scale is built from its
+//!   exponent bits when the block's exponent sums all lie in the normal
+//!   range, which equals `exp2` bit for bit; the quantizer's own
+//!   shortcuts are exact too (see [`HbfpMatrix`]).
 //!
 //! Every kernel runs serially on the calling thread. Training is
 //! parallel one level up, one whole training run per pool task (see
@@ -40,7 +50,7 @@
 use crate::bf16::Bf16;
 use crate::convert::matrix_to_bf16;
 use crate::fixed::{Accumulator25, Q8};
-use crate::hbfp::{pow2, BlockAxis, HbfpMatrix, HbfpSpec};
+use crate::hbfp::{normal_pow2, pow2, BlockAxis, HbfpMatrix, HbfpSpec};
 use crate::matrix::Matrix;
 
 /// Adjacent outputs the fp32 kernel accumulates at once, one
@@ -48,7 +58,7 @@ use crate::matrix::Matrix;
 const LANES: usize = 8;
 
 /// Computes an `m×n` output by filling each row with `fill(i, row)`.
-fn fill_rows(m: usize, n: usize, fill: impl Fn(usize, &mut [f32])) -> Matrix {
+fn fill_rows(m: usize, n: usize, mut fill: impl FnMut(usize, &mut [f32])) -> Matrix {
     let mut data = vec![0.0f32; m * n];
     for (i, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
         fill(i, row);
@@ -157,41 +167,93 @@ pub fn gemm_bf16(a: &Matrix, b: &Matrix) -> Matrix {
 /// Panics if `a.cols() != b.rows()`.
 pub fn gemm_hbfp(a: &Matrix, b: &Matrix, config: &HbfpGemmConfig) -> Matrix {
     check_shapes(a, b);
+    let (k, n, bs) = (a.cols(), b.cols(), config.spec.block_size);
     let qa = HbfpMatrix::quantize(a, BlockAxis::Row, config.spec);
     let qb = HbfpMatrix::quantize(b, BlockAxis::Col, config.spec);
-    let block = config.spec.block_size.min(a.cols()).max(1);
-    let exact = block as u64 <= Accumulator25::safe_chain_depth(128, 128);
-    fill_rows(a.rows(), b.cols(), |i, row| {
-        let (ma, exps_a) = qa.lane(i);
-        for (j, out) in row.iter_mut().enumerate() {
-            let (mb, exps_b) = qb.lane(j);
-            // fp32 across-block accumulation (the "x instructions that add
-            // intermediate output tiles").
-            let mut acc = 0.0f32;
-            let pairs = ma.chunks(block).zip(mb.chunks(block));
-            for ((xa, xb), (&ea, &eb)) in pairs.zip(exps_a.iter().zip(exps_b)) {
-                acc += block_dot(xa, xb, exact) as f32 * pow2(ea + eb);
+    // Widened once for every row of `a`: products of `i16` lanes
+    // vectorize on baseline x86-64, products of `i8` lanes do not.
+    let panel: Vec<i16> = qb.mantissas().iter().map(|q| i16::from(q.0)).collect();
+    let blocks: Vec<PanelBlock> = panel
+        .chunks(bs * n.max(1))
+        .zip(qb.exponents().chunks(n.max(1)))
+        .map(|(rows, exponents)| PanelBlock {
+            rows,
+            exponents,
+            min_exponent: exponents.iter().copied().min().unwrap_or(0),
+            max_exponent: exponents.iter().copied().max().unwrap_or(0),
+        })
+        .collect();
+    let blocks_per_row = k.div_ceil(bs);
+    let mut dots = vec![0i32; n];
+    fill_rows(a.rows(), n, |i, row| {
+        let mantissas = &qa.mantissas()[i * k..(i + 1) * k];
+        let exponents = &qa.exponents()[i * blocks_per_row..(i + 1) * blocks_per_row];
+        for ((xa, &ea), block) in mantissas.chunks(bs).zip(exponents).zip(&blocks) {
+            block_dots(xa, block.rows, &mut dots);
+            block.accumulate(row, &dots, ea);
+        }
+        if config.round_output_to_bf16 {
+            for out in row.iter_mut() {
+                *out = Bf16::from_f32(*out).to_f32();
             }
-            *out = if config.round_output_to_bf16 {
-                Bf16::from_f32(acc).to_f32()
-            } else {
-                acc
-            };
         }
     })
 }
 
-/// The 25-bit accumulator's value after one block's MACs: a plain
-/// integer sum when `exact` (the block is too short to saturate, see the
-/// module docs), the saturating [`Accumulator25`] otherwise.
-fn block_dot(xa: &[Q8], xb: &[Q8], exact: bool) -> i32 {
-    let pairs = xa.iter().zip(xb);
-    if exact {
-        pairs.map(|(x, y)| i32::from(x.widening_mul(*y))).sum()
+/// One column block of the right operand: its mantissa rows, widened,
+/// and its exponent per column with their range.
+struct PanelBlock<'a> {
+    rows: &'a [i16],
+    exponents: &'a [i32],
+    min_exponent: i32,
+    max_exponent: i32,
+}
+
+impl PanelBlock<'_> {
+    /// `out[j] += dots[j] · 2^(ea + exponents[j])` for every column, the
+    /// fp32 across-block accumulation. When every exponent sum is in the
+    /// normal range, which the column range settles once per block, the
+    /// scale is built from its bits; otherwise [`pow2`] picks per column.
+    fn accumulate(&self, out: &mut [f32], dots: &[i32], ea: i32) {
+        let columns = out.iter_mut().zip(dots).zip(self.exponents);
+        let normal = -126..=127;
+        if normal.contains(&(ea + self.min_exponent)) && normal.contains(&(ea + self.max_exponent)) {
+            for ((out, &dot), &eb) in columns {
+                *out += dot as f32 * normal_pow2(ea + eb);
+            }
+        } else {
+            for ((out, &dot), &eb) in columns {
+                *out += dot as f32 * pow2(ea + eb);
+            }
+        }
+    }
+}
+
+/// Every column's 25-bit accumulator value after one block's MACs:
+/// `dots[j] = Σ_k xa[k] · rows[k][j]`. A block of at most
+/// `Accumulator25::safe_chain_depth(128, 128)` values cannot reach a
+/// rail (see the module docs), so its exact `i32` sums are the
+/// accumulator's values in any order. Longer blocks run the saturating
+/// [`Accumulator25`] per column, in k order.
+fn block_dots(xa: &[Q8], rows: &[i16], dots: &mut [i32]) {
+    let rows = xa.iter().map(|x| i16::from(x.0)).zip(rows.chunks_exact(dots.len()));
+    if xa.len() as u64 <= Accumulator25::safe_chain_depth(128, 128) {
+        dots.fill(0);
+        for (x, row) in rows {
+            for (dot, &y) in dots.iter_mut().zip(row) {
+                *dot += i32::from(x * y);
+            }
+        }
     } else {
-        let mut acc = Accumulator25::new();
-        pairs.for_each(|(&x, &y)| acc.mac(x, y));
-        acc.value()
+        let mut saturating = vec![Accumulator25::new(); dots.len()];
+        for (x, row) in rows {
+            for (acc, &y) in saturating.iter_mut().zip(row) {
+                acc.add_product(i32::from(x * y));
+            }
+        }
+        for (dot, acc) in dots.iter_mut().zip(&saturating) {
+            *dot = acc.value();
+        }
     }
 }
 
@@ -205,8 +267,9 @@ pub fn gemm_macs(m: usize, k: usize, n: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::check;
-    use crate::hbfp::{HbfpBlock, NumericEvents};
+    use crate::hbfp::{reference, NumericEvents};
     use crate::metrics::relative_frobenius_error;
+    use std::collections::BTreeSet;
 
     fn test_matrices(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
         // Simple deterministic LCG so tests need no RNG dependency here.
@@ -227,21 +290,24 @@ mod tests {
     }
 
     /// hbfp8 GEMM as the datapath defines it: every block pair quantized
-    /// to [`HbfpBlock`]s and reduced by their own dot, the block results
-    /// summed in fp32, the sum rounded to bf16 when configured.
+    /// to `HbfpBlock`s by the reference quantizer and reduced by their
+    /// own dot, the block results summed in fp32, the sum rounded to bf16
+    /// when configured. Each block pair's exponent sum goes into `sums`.
     fn reference_hbfp(
         a: &Matrix,
         b: &Matrix,
         cfg: &HbfpGemmConfig,
         events: &mut NumericEvents,
+        sums: &mut BTreeSet<i32>,
     ) -> Matrix {
         let bs = cfg.spec.block_size;
         let bt = b.transpose();
         Matrix::from_fn(a.rows(), b.cols(), |i, j| {
             let mut acc = 0.0f32;
             for (xa, xb) in a.row(i).chunks(bs).zip(bt.row(j).chunks(bs)) {
-                let qa = HbfpBlock::quantize(xa, &cfg.spec);
-                let qb = HbfpBlock::quantize(xb, &cfg.spec);
+                let qa = reference::block(xa, &cfg.spec, &mut NumericEvents::default());
+                let qb = reference::block(xb, &cfg.spec, &mut NumericEvents::default());
+                sums.insert(qa.exponent() + qb.exponent());
                 acc += qa.dot_with_events(&qb, events);
             }
             if cfg.round_output_to_bf16 {
@@ -254,7 +320,8 @@ mod tests {
 
     #[test]
     fn hbfp_matches_block_reference() {
-        check::for_each_case(64, 0x6e7703, |g| {
+        let mut sums = BTreeSet::new();
+        check::for_each_case(256, 0x6e7703, |g| {
             let block = [1, 16, 64, 1500][g.usize_in(0, 4)];
             let cfg = HbfpGemmConfig {
                 spec: HbfpSpec::hbfp8_with_block(block),
@@ -272,20 +339,37 @@ mod tests {
                 let signs: Vec<f32> = (0..n).map(|_| rail(g.next_bool())).collect();
                 (a, Matrix::from_fn(k, n, |_, j| signs[j]))
             } else {
+                // Every value is at most `127·2^e` for its operand's `e`,
+                // about one in four equals it and the rest spread over 16
+                // binades below, so many block pairs have the exponent
+                // sum `ea + eb` and the others sit below it: the ends of
+                // the normal range, just past them, far past them, or 0.
+                let sum = [-126, 127, -127, 128, -200, 0][g.usize_in(0, 6)];
+                let (ea, eb) = (sum / 2, sum - sum / 2);
                 let k = g.usize_in(0, 71);
-                let mut value = || g.f32_in(-1.0, 1.0) * 2.0f32.powi(g.usize_in(0, 16) as i32 - 8);
-                let a = Matrix::from_fn(m, k, |_, _| value());
-                let b = Matrix::from_fn(k, n, |_, _| value());
+                let mut value = |e: i32| {
+                    let sign = if g.next_bool() { -1.0 } else { 1.0 };
+                    let top = 127.0 * 2.0f32.powi(e);
+                    let below = g.f32_in(0.0, 1.0) * 2.0f32.powi(-(g.usize_in(0, 16) as i32));
+                    sign * top * if g.usize_in(0, 4) == 0 { 1.0 } else { below }
+                };
+                let a = Matrix::from_fn(m, k, |_, _| value(ea));
+                let b = Matrix::from_fn(k, n, |_, _| value(eb));
                 (a, b)
             };
             let mut events = NumericEvents::default();
-            let expected = reference_hbfp(&a, &b, &cfg, &mut events);
+            let expected = reference_hbfp(&a, &b, &cfg, &mut events, &mut sums);
             let got = gemm_hbfp(&a, &b, &cfg);
             assert_eq!(bits(&got), bits(&expected), "block {block}, k {}", a.cols());
             if block > 1023 {
                 assert!(events.accumulator_saturations > 0, "the long chains must saturate");
             }
         });
+        // Both ends of the bit-built scale's range, and past each.
+        for sum in [-126, 127] {
+            assert!(sums.contains(&sum), "no block pair summed to {sum}");
+        }
+        assert!(sums.first() < Some(&-126) && sums.last() > Some(&127), "{sums:?}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! add: activations are blocked within rows, weights within columns.
 
 use crate::fixed::{Accumulator25, Q8};
+use std::iter::repeat;
 
 /// Static description of an HBFP format.
 ///
@@ -115,9 +116,141 @@ impl NumericEvents {
 /// the 16 MACs it scales.
 pub(crate) fn pow2(e: i32) -> f32 {
     if (-126..=127).contains(&e) {
-        f32::from_bits(((e + 127) as u32) << 23)
+        normal_pow2(e)
     } else {
         (e as f32).exp2()
+    }
+}
+
+/// `2^e` for `e` in `[-126, 127]`, built from its exponent field.
+pub(crate) fn normal_pow2(e: i32) -> f32 {
+    f32::from_bits(((e + 127) as u32) << 23)
+}
+
+/// `y.log2().ceil() as i32`, read from `y`'s bits where that is exact.
+///
+/// A normal `y = 2^E · (1 + f · 2^-23)` with `f = 0` is a power of two,
+/// and its logarithm is exactly `E`. With `f ≥ 2^11`, `log2 y` lies in
+/// `[E + log2(1 + 2^-12), E + 1)`: at least 3.5·10^-4 above `E`, far
+/// more than one rounding of `log2f` moves any value of magnitude at
+/// most 128, so the rounded logarithm lies in `(E, E + 1]` and its
+/// ceiling is `E + 1`. Just above a power of two, `log2f` can round to
+/// `E` itself, and the quantizer's exponent depends on that, so those
+/// fractions, like zero, subnormal and infinite `y`, keep the libm
+/// call. `tests::ceil_log2_matches_libm_on_every_positive_float` checks
+/// every positive finite `f32`.
+fn ceil_log2(y: f32) -> i32 {
+    let bits = y.to_bits();
+    let field = (bits >> 23) as i32;
+    let fraction = bits & 0x7f_ffff;
+    let normal = (1..0xff).contains(&field);
+    if normal && fraction == 0 {
+        field - 127
+    } else if normal && fraction >= 1 << 11 {
+        field - 126
+    } else {
+        y.log2().ceil() as i32
+    }
+}
+
+/// The largest magnitude in `values`, or zero. `f32::max` ignores NaN
+/// and is otherwise order-free, so four independent partial maxima give
+/// the serial fold's result.
+fn max_abs(values: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 4];
+    let mut quads = values.chunks_exact(4);
+    for quad in quads.by_ref() {
+        for (lane, &v) in lanes.iter_mut().zip(quad) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    let tail = quads.remainder().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    lanes.into_iter().fold(tail, f32::max)
+}
+
+/// `Q8::saturating_from_scaled(x)` for `x = v · inverse`, without libm.
+///
+/// Adding `1.5 · 2^23` rounds any `|x| < 2^22` to the nearest integer
+/// `n`, ties to even, and leaves `n` in the sum's low mantissa bits.
+/// The remainder `x - n` is exact, and `f32::round` differs from `n`
+/// only on a tie away from zero, where it moves a positive `x` up and a
+/// negative one down. A NaN maps to 0. Callers keep `|x| < 256`.
+fn round_scaled(v: f32, inverse: f32) -> Q8 {
+    const SHIFT: f32 = 12_582_912.0;
+    let x = v * inverse;
+    let shifted = x + SHIFT;
+    let n = shifted.to_bits() as i32 - SHIFT.to_bits() as i32;
+    let remainder = x - (shifted - SHIFT);
+    let rounded =
+        n + i32::from(remainder >= 0.5 && x > 0.0) - i32::from(remainder <= -0.5 && x < 0.0);
+    let mantissa = rounded.clamp(i8::MIN.into(), i8::MAX.into()) as i8;
+    Q8(if x.is_nan() { 0 } else { mantissa })
+}
+
+/// `Q8::saturating_from_scaled(v / scale)`: the quantizer as the
+/// datapath defines it, for the blocks [`round_scaled`] cannot take.
+fn divide(v: f32, scale: f32) -> Q8 {
+    Q8::saturating_from_scaled(v / scale)
+}
+
+/// Writes `mantissa(v, f)` for each value `v` and its factor `f`, and
+/// returns how many nonzero finite values became a zero mantissa. The
+/// count rides in the same loop, and in `u32` lanes, since callers pass
+/// one block or one row.
+fn write_mantissas(
+    values: &[f32],
+    factors: impl Iterator<Item = f32>,
+    mantissas: &mut [Q8],
+    mantissa: impl Fn(f32, f32) -> Q8,
+) -> u64 {
+    let mut flushed = 0u32;
+    for ((q, &v), f) in mantissas.iter_mut().zip(values).zip(factors) {
+        *q = mantissa(v, f);
+        flushed += u32::from(v != 0.0 && v.is_finite() && q.0 == 0);
+    }
+    flushed.into()
+}
+
+/// A block's shared exponent and, where it is exact, the reciprocal of
+/// its scale.
+#[derive(Debug, Clone, Copy)]
+struct BlockScale {
+    exponent: i32,
+    /// `2^-exponent` when every value's mantissa may be
+    /// [`round_scaled`]`(v, 2^-exponent)`; `None` when values must be
+    /// [`divide`]d by `2^exponent`.
+    inverse: Option<f32>,
+}
+
+impl BlockScale {
+    /// The scale of a block whose largest magnitude is `max_abs`: the
+    /// smallest power of two that fits `max_abs` into the mantissa
+    /// range, clamped to the exponent field (a clamp is counted into
+    /// `events`). An all-zero or non-finite block takes the minimum
+    /// exponent.
+    ///
+    /// The multiply is exact when `2^e` is normal and `2^-e` is too:
+    /// `v · 2^-e` is then the real `v / 2^e` rounded once, which is what
+    /// the division computes, so either gives every value the same
+    /// mantissa. `max_abs · 2^-e < 256` keeps every scaled value in
+    /// [`round_scaled`]'s range. Clamped exponents, non-finite blocks
+    /// and scales below `2^-126` divide.
+    fn of(max_abs: f32, spec: &HbfpSpec, events: &mut NumericEvents) -> Self {
+        let (exp_min, exp_max) = spec.exponent_range();
+        if max_abs == 0.0 || !max_abs.is_finite() {
+            return BlockScale { exponent: exp_min, inverse: None };
+        }
+        // Smallest e with max_abs / 2^e <= mantissa_max.
+        let needed = ceil_log2(max_abs / spec.mantissa_max() as f32);
+        if needed > exp_max {
+            events.exponent_clamps += 1;
+        }
+        let exponent = needed.clamp(exp_min, exp_max);
+        let inverse = (-126..=126)
+            .contains(&exponent)
+            .then(|| normal_pow2(-exponent))
+            .filter(|&inverse| max_abs * inverse < 256.0);
+        BlockScale { exponent, inverse }
     }
 }
 
@@ -126,7 +259,8 @@ pub(crate) fn pow2(e: i32) -> f32 {
 /// largest magnitude into the mantissa range, with round-to-nearest and
 /// saturation at the mantissa bounds. An all-zero (or empty) block maps
 /// to the minimum exponent. Counts flushed values and clamped exponents
-/// into `events`. [`HbfpBlock`] and [`HbfpMatrix`] both quantize here.
+/// into `events`. [`HbfpBlock`] and row-blocked [`HbfpMatrix`]es
+/// quantize here; column blocks share [`BlockScale`].
 fn quantize_into(
     values: &[f32],
     spec: &HbfpSpec,
@@ -134,26 +268,12 @@ fn quantize_into(
     events: &mut NumericEvents,
 ) -> i32 {
     debug_assert_eq!(values.len(), mantissas.len());
-    let (exp_min, exp_max) = spec.exponent_range();
-    let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    let exponent = if max_abs == 0.0 || !max_abs.is_finite() {
-        exp_min
-    } else {
-        // Smallest e with max_abs / 2^e <= mantissa_max.
-        let needed = (max_abs / spec.mantissa_max() as f32).log2().ceil() as i32;
-        if needed > exp_max {
-            events.exponent_clamps += 1;
-        }
-        needed.clamp(exp_min, exp_max)
+    let scale = BlockScale::of(max_abs(values), spec, events);
+    events.underflows_to_zero += match scale.inverse {
+        Some(inverse) => write_mantissas(values, repeat(inverse), mantissas, round_scaled),
+        None => write_mantissas(values, repeat(pow2(scale.exponent)), mantissas, divide),
     };
-    let scale = pow2(exponent);
-    for (m, &v) in mantissas.iter_mut().zip(values) {
-        *m = Q8::saturating_from_scaled(v / scale);
-        if v != 0.0 && v.is_finite() && *m == Q8(0) {
-            events.underflows_to_zero += 1;
-        }
-    }
-    exponent
+    scale.exponent
 }
 
 /// One HBFP block: `block_size` 8-bit mantissas sharing one exponent.
@@ -275,13 +395,28 @@ pub enum BlockAxis {
 
 /// A matrix stored in HBFP blocks.
 ///
-/// Logically `rows × cols` of `f32`. Each *lane*, a row or a column per
-/// [`BlockAxis`], is cut into blocks of `spec.block_size` values, the
-/// last one possibly shorter; a block holds exactly what
-/// [`HbfpBlock::quantize`] makes of that chunk. Storage is flat and
-/// lane-major: every mantissa of lane 0, then of lane 1, and so on, and
-/// beside them one exponent per block in the same order.
-/// [`HbfpMatrix::lane`] returns one lane's share of each.
+/// Logically `rows × cols` of `f32`. Each row ([`BlockAxis::Row`]) or
+/// column ([`BlockAxis::Col`]) is cut into blocks of `spec.block_size`
+/// values, the last one possibly shorter; a block holds exactly what
+/// [`HbfpBlock::quantize`] makes of that chunk. Mantissas are stored
+/// row-major on both axes, in the dense matrix's own order, so either
+/// axis is quantized and dequantized a row at a time. Exponents are
+/// stored one per block: for `Row`, row by row, each row's blocks in
+/// order; for `Col`, block by block down the rows, one per column. A
+/// column block is therefore `block_size` consecutive mantissa rows
+/// and `cols` consecutive exponents, the operand panel a GEMM reads.
+///
+/// Quantizing gives the bits of the datapath's definition (exponent
+/// `log2(max_abs / mantissa_max).ceil()`, values divided by the scale
+/// and rounded by `f32::round`) but makes no libm call on the common
+/// path. A block's exponent is
+/// read from the bits of `max_abs / mantissa_max`: a power of two gives
+/// its exponent field, and a fraction of at least 2^-12 the next one,
+/// which is what `log2().ceil()` returns there on every positive `f32`.
+/// Values are scaled by multiplying with `2^-e` instead of dividing by
+/// `2^e`: both are the same real number rounded once, so the same
+/// `f32`, and the product is rounded half away from zero by integer
+/// arithmetic instead of `roundf`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HbfpMatrix {
     rows: usize,
@@ -307,34 +442,56 @@ impl HbfpMatrix {
         spec: HbfpSpec,
         events: &mut NumericEvents,
     ) -> Self {
-        let mut q = HbfpMatrix {
-            rows: m.rows(),
-            cols: m.cols(),
-            axis,
-            spec,
-            mantissas: vec![Q8(0); m.len()],
-            exponents: Vec::new(),
-        };
-        let (lanes, lane_len) = q.lane_shape();
-        q.exponents.reserve_exact(lanes * lane_len.div_ceil(spec.block_size));
-        let mut col_buf = Vec::new();
-        for (lane, lane_mantissas) in q.mantissas.chunks_exact_mut(lane_len.max(1)).enumerate() {
-            let values = match axis {
-                BlockAxis::Row => m.row(lane),
-                BlockAxis::Col => {
-                    col_buf.clear();
-                    col_buf.extend(m.as_slice().iter().skip(lane).step_by(m.cols()));
-                    &col_buf[..]
+        let (bs, n) = (spec.block_size, m.cols().max(1));
+        let values = m.as_slice();
+        let mut mantissas = vec![Q8(0); m.len()];
+        let mut exponents = Vec::new();
+        match axis {
+            BlockAxis::Row => {
+                exponents.reserve_exact(m.rows() * m.cols().div_ceil(bs));
+                for (row, out) in values.chunks_exact(n).zip(mantissas.chunks_exact_mut(n)) {
+                    for (chunk, out) in row.chunks(bs).zip(out.chunks_mut(bs)) {
+                        exponents.push(quantize_into(chunk, &spec, out, events));
+                    }
                 }
-            };
-            for (chunk, out) in values
-                .chunks(spec.block_size)
-                .zip(lane_mantissas.chunks_mut(spec.block_size))
-            {
-                q.exponents.push(quantize_into(chunk, &spec, out, events));
+            }
+            BlockAxis::Col => {
+                exponents.reserve_exact(m.rows().div_ceil(bs) * m.cols());
+                let mut max_abs = vec![0.0f32; m.cols()];
+                let mut scales = Vec::with_capacity(m.cols());
+                let mut factors = Vec::with_capacity(m.cols());
+                for (block, out) in values.chunks(bs * n).zip(mantissas.chunks_mut(bs * n)) {
+                    max_abs.fill(0.0);
+                    for row in block.chunks_exact(n) {
+                        for (max, &v) in max_abs.iter_mut().zip(row) {
+                            *max = max.max(v.abs());
+                        }
+                    }
+                    scales.clear();
+                    scales.extend(max_abs.iter().map(|&max| BlockScale::of(max, &spec, events)));
+                    exponents.extend(scales.iter().map(|s| s.exponent));
+                    // One column that cannot multiply makes the whole
+                    // block divide, which gives every column the same
+                    // mantissas (see `BlockScale::of`).
+                    factors.clear();
+                    factors.extend(scales.iter().map_while(|s| s.inverse));
+                    let multiply = factors.len() == scales.len();
+                    if !multiply {
+                        factors.clear();
+                        factors.extend(scales.iter().map(|s| pow2(s.exponent)));
+                    }
+                    for (row, out) in block.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+                        let factors = factors.iter().copied();
+                        events.underflows_to_zero += if multiply {
+                            write_mantissas(row, factors, out, round_scaled)
+                        } else {
+                            write_mantissas(row, factors, out, divide)
+                        };
+                    }
+                }
             }
         }
-        q
+        HbfpMatrix { rows: m.rows(), cols: m.cols(), axis, spec, mantissas, exponents }
     }
 
     /// Logical number of rows.
@@ -352,51 +509,40 @@ impl HbfpMatrix {
         self.axis
     }
 
-    /// `(lanes, values per lane)`: rows and their length when blocked
-    /// along rows, columns and their length when blocked along columns.
-    fn lane_shape(&self) -> (usize, usize) {
-        match self.axis {
-            BlockAxis::Row => (self.rows, self.cols),
-            BlockAxis::Col => (self.cols, self.rows),
-        }
+    /// Every mantissa, row-major.
+    pub(crate) fn mantissas(&self) -> &[Q8] {
+        &self.mantissas
     }
 
-    /// One lane (row or column, per the blocking axis): its mantissas in
-    /// order, and the shared exponent of each of its blocks. Block `b`
-    /// covers mantissas `b · block_size ..` up to the next block or the
-    /// lane's end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of bounds.
-    pub fn lane(&self, lane: usize) -> (&[Q8], &[i32]) {
-        let (lanes, len) = self.lane_shape();
-        assert!(lane < lanes, "lane {lane} out of bounds for {lanes} lanes");
-        let blocks = len.div_ceil(self.spec.block_size);
-        (
-            &self.mantissas[lane * len..(lane + 1) * len],
-            &self.exponents[lane * blocks..(lane + 1) * blocks],
-        )
+    /// Every block exponent, in the order the type's docs give.
+    pub(crate) fn exponents(&self) -> &[i32] {
+        &self.exponents
     }
 
     /// Dequantizes back into a dense matrix.
     pub fn dequantize(&self) -> crate::Matrix {
-        let bs = self.spec.block_size;
-        let mut m = crate::Matrix::zeros(self.rows, self.cols);
-        for lane in 0..self.lane_shape().0 {
-            let (mantissas, exponents) = self.lane(lane);
-            for (b, (block, &e)) in mantissas.chunks(bs).zip(exponents).enumerate() {
-                let scale = pow2(e);
-                for (j, q) in block.iter().enumerate() {
-                    let v = q.0 as f32 * scale;
-                    match self.axis {
-                        BlockAxis::Row => m.set(lane, b * bs + j, v),
-                        BlockAxis::Col => m.set(b * bs + j, lane, v),
+        let (bs, n) = (self.spec.block_size, self.cols.max(1));
+        let mut data = Vec::with_capacity(self.mantissas.len());
+        match self.axis {
+            BlockAxis::Row => {
+                let blocks = self.mantissas.chunks_exact(n).flat_map(|row| row.chunks(bs));
+                for (block, &e) in blocks.zip(&self.exponents) {
+                    let scale = pow2(e);
+                    data.extend(block.iter().map(|q| q.0 as f32 * scale));
+                }
+            }
+            BlockAxis::Col => {
+                let mut scales = Vec::with_capacity(self.cols);
+                for (block, exponents) in self.mantissas.chunks(bs * n).zip(self.exponents.chunks(n)) {
+                    scales.clear();
+                    scales.extend(exponents.iter().map(|&e| pow2(e)));
+                    for row in block.chunks_exact(n) {
+                        data.extend(row.iter().zip(&scales).map(|(q, &scale)| q.0 as f32 * scale));
                     }
                 }
             }
         }
-        m
+        crate::Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Total storage in bits, including shared exponents.
@@ -406,11 +552,189 @@ impl HbfpMatrix {
     }
 }
 
+/// The quantizer as first written, before the bit-derived exponent and
+/// the multiply-and-round path: the specification that [`quantize_into`]
+/// and [`HbfpMatrix`] are held to bit for bit, as are `gemm_hbfp`'s
+/// references in `gemm::tests`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// One block, exactly as [`quantize_into`] must make it.
+    pub(crate) fn quantize_into(
+        values: &[f32],
+        spec: &HbfpSpec,
+        mantissas: &mut [Q8],
+        events: &mut NumericEvents,
+    ) -> i32 {
+        debug_assert_eq!(values.len(), mantissas.len());
+        let (exp_min, exp_max) = spec.exponent_range();
+        let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let exponent = if max_abs == 0.0 || !max_abs.is_finite() {
+            exp_min
+        } else {
+            // Smallest e with max_abs / 2^e <= mantissa_max.
+            let needed = (max_abs / spec.mantissa_max() as f32).log2().ceil() as i32;
+            if needed > exp_max {
+                events.exponent_clamps += 1;
+            }
+            needed.clamp(exp_min, exp_max)
+        };
+        let scale = pow2(exponent);
+        for (m, &v) in mantissas.iter_mut().zip(values) {
+            *m = Q8::saturating_from_scaled(v / scale);
+            if v != 0.0 && v.is_finite() && *m == Q8(0) {
+                events.underflows_to_zero += 1;
+            }
+        }
+        exponent
+    }
+
+    /// [`HbfpBlock::quantize_with_events`] through the reference.
+    pub(crate) fn block(values: &[f32], spec: &HbfpSpec, events: &mut NumericEvents) -> HbfpBlock {
+        let mut mantissas = vec![Q8(0); values.len()];
+        let exponent = quantize_into(values, spec, &mut mantissas, events);
+        HbfpBlock { mantissas, exponent }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check;
+    use crate::rng::SplitMix64;
     use crate::Matrix;
+
+    /// A value from one of the quantizer's edge cases, around the
+    /// binade `2^e`: signed zeros, NaN, infinities, subnormals, exactly
+    /// `127·2^e` and one ulp above it, rounding ties at `2^e`'s scale,
+    /// or a random magnitude up to 256× either side of it. `specials`
+    /// in 256ths is how often a zero, NaN, infinity or subnormal comes
+    /// up.
+    fn edge_value(g: &mut SplitMix64, e: i32, specials: usize) -> f32 {
+        let sign = if g.next_bool() { -1.0 } else { 1.0 };
+        let top = 127.0 * 2.0f32.powi(e);
+        if g.usize_in(0, 256) < specials {
+            return match g.usize_in(0, 5) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::NAN,
+                3 => sign * f32::INFINITY,
+                _ => sign * f32::from_bits(g.usize_in(1, 1 << 23) as u32),
+            };
+        }
+        match g.usize_in(0, 8) {
+            0 => sign * top,
+            1 => sign * f32::from_bits(top.to_bits() + 1),
+            2 => sign * (g.usize_in(0, 127) as f32 + 0.5) * 2.0f32.powi(e),
+            _ => sign * g.f32_in(0.0, 1.0) * 2.0f32.powi(e + g.usize_in(0, 17) as i32 - 8),
+        }
+    }
+
+    /// A spec from the sizes and fields the quantizer must handle: the
+    /// block sizes 1, 16, 64 and 1500, and exponent fields of 12 bits
+    /// (hbfp8), 6 and 4 bits (both clamp at either end).
+    fn edge_spec(g: &mut SplitMix64) -> HbfpSpec {
+        HbfpSpec {
+            exponent_bits: [12, 12, 6, 4][g.usize_in(0, 4)],
+            ..HbfpSpec::hbfp8_with_block([1, 16, 64, 1500][g.usize_in(0, 4)])
+        }
+    }
+
+    /// A binade to draw around: anywhere from the subnormals to the
+    /// top of the `f32` range.
+    fn edge_binade(g: &mut SplitMix64) -> i32 {
+        g.usize_in(0, 260) as i32 - 150
+    }
+
+    #[test]
+    fn quantize_matches_reference() {
+        check::for_each_case(2000, 0x686204, |g| {
+            let spec = edge_spec(g);
+            let (e, specials) = (edge_binade(g), [0, 0, 8, 64][g.usize_in(0, 4)]);
+            let len = g.usize_in(0, spec.block_size + 1);
+            let values: Vec<f32> = (0..len).map(|_| edge_value(g, e, specials)).collect();
+            let mut want = NumericEvents::default();
+            let expected = reference::block(&values, &spec, &mut want);
+            let mut got = NumericEvents::default();
+            let block = HbfpBlock::quantize_with_events(&values, &spec, &mut got);
+            assert_eq!(block, expected, "{spec:?} {values:?}");
+            assert_eq!(got, want, "{spec:?} {values:?}");
+        });
+    }
+
+    #[test]
+    fn matrix_quantize_matches_reference_on_both_axes() {
+        check::for_each_case(400, 0x686205, |g| {
+            let spec = HbfpSpec { block_size: [1, 3, 16, 64][g.usize_in(0, 4)], ..edge_spec(g) };
+            let (rows, cols) = (g.usize_in(0, 40), g.usize_in(0, 40));
+            let (e, specials) = (edge_binade(g), [0, 0, 4, 32][g.usize_in(0, 4)]);
+            let m = Matrix::from_fn(rows, cols, |_, _| edge_value(g, e, specials));
+            for axis in [BlockAxis::Row, BlockAxis::Col] {
+                // The reference quantizes each lane (row or column) in
+                // order; `lanes` holds one per row.
+                let lanes = match axis {
+                    BlockAxis::Row => m.clone(),
+                    BlockAxis::Col => m.transpose(),
+                };
+                let mut want = NumericEvents::default();
+                let mut mantissas = Matrix::zeros(lanes.rows(), lanes.cols());
+                let mut values = Matrix::zeros(lanes.rows(), lanes.cols());
+                let mut exponents = Vec::new();
+                for lane in 0..lanes.rows() {
+                    for (b, chunk) in lanes.row(lane).chunks(spec.block_size).enumerate() {
+                        let block = reference::block(chunk, &spec, &mut want);
+                        for (j, q) in block.mantissas().iter().enumerate() {
+                            let c = b * spec.block_size + j;
+                            mantissas.set(lane, c, f32::from(q.0));
+                            values.set(lane, c, f32::from(q.0) * pow2(block.exponent()));
+                        }
+                        exponents.push(block.exponent());
+                    }
+                }
+                if axis == BlockAxis::Col {
+                    // Lane-major to block-row-major: block b of every column.
+                    let blocks = rows.div_ceil(spec.block_size);
+                    exponents = (0..blocks)
+                        .flat_map(|b| (0..cols).map(move |j| j * blocks + b))
+                        .map(|i| exponents[i])
+                        .collect();
+                    (mantissas, values) = (mantissas.transpose(), values.transpose());
+                }
+                let mut got = NumericEvents::default();
+                let q = HbfpMatrix::quantize_with_events(&m, axis, spec, &mut got);
+                let what = format!("{axis:?} {spec:?} {rows}x{cols}");
+                assert_eq!(got, want, "{what}");
+                let stored: Vec<f32> = q.mantissas().iter().map(|q| f32::from(q.0)).collect();
+                assert_eq!(stored, mantissas.as_slice(), "{what}");
+                assert_eq!(q.exponents(), exponents, "{what}");
+                let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&q.dequantize()), bits(&values), "{what}");
+            }
+        });
+    }
+
+    fn assert_ceil_log2_matches_libm(bits: impl Iterator<Item = u32>) {
+        for bits in bits {
+            let y = f32::from_bits(bits);
+            assert_eq!(ceil_log2(y), y.log2().ceil() as i32, "y = {y:e} ({bits:#010x})");
+        }
+    }
+
+    /// Where the bit-derived exponent meets the libm fallback: the
+    /// lowest 2^12 fractions of every binade, and a stride through the
+    /// subnormals.
+    #[test]
+    fn ceil_log2_matches_libm_just_above_every_power_of_two() {
+        let binades = (1..0xffu32).flat_map(|field| (0..1 << 12).map(move |f| field << 23 | f));
+        assert_ceil_log2_matches_libm(binades.chain((1..1 << 23).step_by(4099)));
+    }
+
+    #[test]
+    #[ignore = "sweeps every positive finite f32, about 20 s in release; scripts/check.sh runs it"]
+    fn ceil_log2_matches_libm_on_every_positive_float() {
+        assert_ceil_log2_matches_libm(1..f32::INFINITY.to_bits());
+    }
 
     #[test]
     fn spec_defaults() {

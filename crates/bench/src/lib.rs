@@ -308,7 +308,22 @@ fn run_fig2(scale: ExperimentScale) -> Artifacts {
             }
         }
     }
-    Artifacts::with_log(&fig).file("fig2_convergence.csv", csv)
+    // At Quick scale every classifier ends at the same error, so the
+    // first gate binds only at Full (scripts/check.sh's Full step).
+    Artifacts::with_log(&fig)
+        .file("fig2_convergence.csv", csv)
+        .gate(
+            "hbfp8_error_within_0.01_of_fp32",
+            fig.classification_gap() <= fig2::MAX_ERROR_GAP,
+        )
+        .gate(
+            "hbfp8_lm_perplexity_within_2pct_of_fp32",
+            fig.perplexity_gap() <= fig2::MAX_PERPLEXITY_GAP,
+        )
+        .gate(
+            "hbfp8_lstm_perplexity_within_2pct_of_fp32",
+            fig.lstm_perplexity_gap() <= fig2::MAX_PERPLEXITY_GAP,
+        )
 }
 
 fn run_fig6(_: ExperimentScale) -> Artifacts {

@@ -20,6 +20,15 @@ pub struct Fig2 {
     pub lstm: Vec<ConvergenceCurve>,
 }
 
+/// The widest gap between hbfp8's and fp32's final validation error
+/// that still reads as the paper's "indistinguishable": one sample in a
+/// hundred.
+pub const MAX_ERROR_GAP: f32 = 0.01;
+
+/// The widest relative gap between hbfp8's and fp32's final validation
+/// perplexity that still reads as "indistinguishable".
+pub const MAX_PERPLEXITY_GAP: f32 = 0.02;
+
 /// The three Figure 2 tasks; each trains once per encoding.
 #[derive(Clone, Copy)]
 enum Task {
@@ -79,24 +88,35 @@ impl Fig2 {
         curves.iter().find(|c| c.label == label)
     }
 
-    /// Absolute gap between hbfp8's and fp32's final validation error.
-    pub fn classification_gap(&self) -> f32 {
-        let fp32 = Self::curve(&self.classification, "fp32").map(|c| c.final_metric());
-        let hbfp = Self::curve(&self.classification, "hbfp8").map(|c| c.final_metric());
-        match (fp32, hbfp) {
-            (Some(a), Some(b)) => (a - b).abs(),
+    /// fp32's and hbfp8's final validation metrics in one task's curves.
+    fn finals(curves: &[ConvergenceCurve]) -> Option<(f32, f32)> {
+        let fp32 = Self::curve(curves, "fp32")?.final_metric();
+        let hbfp = Self::curve(curves, "hbfp8")?.final_metric();
+        Some((fp32, hbfp))
+    }
+
+    /// Relative gap between hbfp8's and fp32's final perplexity in one
+    /// task's curves.
+    fn relative_gap(curves: &[ConvergenceCurve]) -> f32 {
+        match Self::finals(curves) {
+            Some((a, b)) if a > 0.0 => (a - b).abs() / a,
             _ => f32::NAN,
         }
     }
 
+    /// Absolute gap between hbfp8's and fp32's final validation error.
+    pub fn classification_gap(&self) -> f32 {
+        Self::finals(&self.classification).map_or(f32::NAN, |(a, b)| (a - b).abs())
+    }
+
     /// Relative gap between hbfp8's and fp32's final perplexity.
     pub fn perplexity_gap(&self) -> f32 {
-        let fp32 = Self::curve(&self.language, "fp32").map(|c| c.final_metric());
-        let hbfp = Self::curve(&self.language, "hbfp8").map(|c| c.final_metric());
-        match (fp32, hbfp) {
-            (Some(a), Some(b)) if a > 0.0 => (a - b).abs() / a,
-            _ => f32::NAN,
-        }
+        Self::relative_gap(&self.language)
+    }
+
+    /// Relative gap between the hbfp8 and fp32 LSTMs' final perplexity.
+    pub fn lstm_perplexity_gap(&self) -> f32 {
+        Self::relative_gap(&self.lstm)
     }
 }
 
@@ -163,12 +183,7 @@ mod tests {
         let fp32 = Fig2::curve(&fig.classification, "fp32").unwrap();
         assert!(fp32.final_metric() < fp32.points[0].val_metric);
         // The recurrent extension: hbfp8 BPTT tracks fp32 BPTT.
-        let lstm_fp32 = Fig2::curve(&fig.lstm, "fp32").unwrap();
-        let lstm_hbfp = Fig2::curve(&fig.lstm, "hbfp8").unwrap();
-        let rel = (lstm_hbfp.final_metric() - lstm_fp32.final_metric()).abs()
-            / lstm_fp32.final_metric();
-        assert!(rel < 0.15, "lstm fp32 {} vs hbfp8 {}", lstm_fp32.final_metric(),
-            lstm_hbfp.final_metric());
+        assert!(fig.lstm_perplexity_gap() < 0.15, "gap {}", fig.lstm_perplexity_gap());
         let s = fig.to_string();
         assert!(s.contains("hbfp8"));
         assert!(s.contains("LSTM/BPTT"));

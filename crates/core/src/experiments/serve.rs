@@ -519,6 +519,7 @@ impl ServeSweep {
                 ("admission_shed", c.admission_shed.into()),
                 ("completed", c.completed.into()),
                 ("device_shed", c.device_shed.into()),
+                ("device_dropped", c.device_dropped.into()),
                 ("final_queue", c.final_queue.into()),
                 ("joins", c.joins.into()),
                 ("drains", c.drains.into()),

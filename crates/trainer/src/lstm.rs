@@ -208,8 +208,8 @@ impl LstmLm {
             caches.push(cache);
             logits.push(step_logits);
         });
-        let w_gates_q = backend.store_weights(&self.w_gates);
-        let w_out_q = backend.store_weights(&self.w_out);
+        let w_gates_t = backend.store_weights(&self.w_gates).transpose();
+        let w_out_t = backend.store_weights(&self.w_out).transpose();
         let mut dw_gates = Matrix::zeros(self.vocab + self.hidden, 4 * self.hidden);
         let mut db_gates = Matrix::zeros(1, 4 * self.hidden);
         let mut dw_out = Matrix::zeros(self.hidden, self.vocab);
@@ -224,7 +224,7 @@ impl LstmLm {
             let cache = &caches[t];
             dw_out.axpy(1.0, &backend.gemm(&cache.h.transpose(), &dlogits));
             db_out.axpy(1.0, &sum_rows(&dlogits));
-            let mut dh = backend.gemm(&dlogits, &w_out_q.transpose());
+            let mut dh = backend.gemm(&dlogits, &w_out_t);
             dh.axpy(1.0, &dh_next);
             // dc = dh·o·tanh'(c) + dc_next.
             let mut dc = dh
@@ -255,7 +255,7 @@ impl LstmLm {
             });
             dw_gates.axpy(1.0, &backend.gemm(&cache.x_h.transpose(), &dgates));
             db_gates.axpy(1.0, &sum_rows(&dgates));
-            let dx_h = backend.gemm(&dgates, &w_gates_q.transpose());
+            let dx_h = backend.gemm(&dgates, &w_gates_t);
             dh_next = slice_cols(&dx_h, self.vocab, self.hidden);
             dc_next = dc.zip_map(&cache.f, |a, fv| a * fv);
         }

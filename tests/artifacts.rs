@@ -324,13 +324,12 @@ fn the_fleet_and_serve_sweeps_account_for_every_offered_request() {
         let offered = count(cell, "offered");
         let admission_shed = count(cell, "admission_shed");
         // Each offered request is shed at the edge, completed, shed by
-        // its device or still queued there. A request lost with a
-        // corrupted batch would be a fifth fate, but `serve` injects no
-        // corruption, so the artifact carries no `device_dropped`.
+        // its device, lost with a corrupted batch or still queued there.
         assert_eq!(
             admission_shed
                 + count(cell, "completed")
                 + count(cell, "device_shed")
+                + count(cell, "device_dropped")
                 + count(cell, "final_queue"),
             offered,
             "{what}"
