@@ -100,14 +100,26 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
+    /// Mutable borrow of one row as a slice.
+    pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
+        assert!(row < self.rows, "row out of bounds");
+        &mut self.data[row * self.cols..(row + 1) * self.cols]
+    }
+
     /// The underlying row-major storage.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
-    /// Returns the transpose.
+    /// Returns the transpose, scattering each row into a column.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                out.data[c * self.rows + r] = v;
+            }
+        }
+        out
     }
 
     /// Element-wise map into a new matrix.
@@ -236,8 +248,19 @@ mod tests {
 
     #[test]
     fn row_access() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
+        let mut m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
         assert_eq!(m.row(1), &[3.0, 4.0, 5.0]);
+        m.row_mut(0)[2] = 9.0;
+        assert_eq!(m.get(0, 2), 9.0);
+        assert_eq!(m.row(1), &[3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn transpose_of_an_empty_shape_swaps_it() {
+        for (rows, cols) in [(0, 3), (3, 0)] {
+            let t = Matrix::zeros(rows, cols).transpose();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+        }
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! canonical order, so stdout and every artifact are byte-identical at
 //! any thread count. Wall-clock readings, rounded to whole milliseconds,
 //! land in `results/bench_timings.json`, the one artifact exempt from
-//! that rule, since it records timings of this very run.
+//! that rule, since it records timings of this very run. When a selected
+//! id reads the fitted-surrogate table, the table is fitted once before
+//! the pool starts and timed as its own entry, so no id's wall clock
+//! depends on which reader asked first.
 
 use equinox_arith::json::Json;
 use equinox_bench::{Outcome, EXPERIMENTS};
@@ -38,9 +41,16 @@ fn write_result(name: &str, content: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `results/bench_timings.json`: per-id wall clock, pool size, and the
-/// compile-cache counters.
-fn timings_json(threads: usize, quick: bool, total_s: f64, outcomes: &[Outcome]) -> Json {
+/// `results/bench_timings.json`: per-id wall clock, pool size, the
+/// compile-cache counters and, when a selected id reads it, the shared
+/// fitted-table fit's wall clock (`fitted_table_s`).
+fn timings_json(
+    threads: usize,
+    quick: bool,
+    total_s: f64,
+    fit_s: Option<f64>,
+    outcomes: &[Outcome],
+) -> Json {
     let cache = equinox_isa::cache::stats();
     let experiments = outcomes.iter().map(|o| {
         let mut fields = vec![("id", o.experiment.id.into()), ("wall_s", Json::seconds(o.wall_s))];
@@ -50,7 +60,7 @@ fn timings_json(threads: usize, quick: bool, total_s: f64, outcomes: &[Outcome])
         }
         Json::object(fields)
     });
-    Json::object([
+    let mut fields = vec![
         ("tool", "regen-results".into()),
         ("threads", threads.into()),
         ("quick", quick.into()),
@@ -63,8 +73,10 @@ fn timings_json(threads: usize, quick: bool, total_s: f64, outcomes: &[Outcome])
                 ("evictions", cache.evictions.into()),
             ]),
         ),
-        ("experiments", Json::array(experiments)),
-    ])
+    ];
+    fields.extend(fit_s.map(|s| ("fitted_table_s", Json::seconds(s))));
+    fields.push(("experiments", Json::array(experiments)));
+    Json::object(fields)
 }
 
 fn main() {
@@ -80,6 +92,7 @@ fn main() {
     let quick = scale == ExperimentScale::Quick;
     let threads = equinox_par::thread_count();
     let start = Instant::now();
+    let fit_s = equinox_bench::fit_shared_table(&selection.experiments, scale);
     let outcomes = equinox_bench::run(&selection.experiments, scale);
 
     let mut failures = Vec::new();
@@ -93,7 +106,7 @@ fn main() {
     }
 
     let elapsed = start.elapsed().as_secs_f64();
-    let timings = timings_json(threads, quick, elapsed, &outcomes)
+    let timings = timings_json(threads, quick, elapsed, fit_s, &outcomes)
         .render()
         .map_err(|e| format!("results/bench_timings.json: {e}"))
         .and_then(|text| write_result("bench_timings.json", &(text + "\n")));

@@ -77,6 +77,9 @@ pub struct Experiment {
     pub quick_budget_s: f64,
     /// Runs the experiment at a scale.
     pub run: fn(ExperimentScale) -> Artifacts,
+    /// Whether the run reads the process-wide fitted-surrogate table,
+    /// which [`fit_shared_table`] fits before the pool starts.
+    pub reads_fitted_table: bool,
 }
 
 /// Every experiment, in the canonical order logs print and files are
@@ -87,126 +90,147 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         title: "hbfp8 vs fp32 convergence (Figure 2)",
         quick_budget_s: 240.0,
         run: run_fig2,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fig6",
         title: "design-space scatter (Figure 6)",
         quick_budget_s: 60.0,
         run: run_fig6,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "table1",
         title: "Pareto-optimal designs (Table 1)",
         quick_budget_s: 60.0,
         run: run_table1,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fig7",
         title: "inference tail latency vs throughput (Figure 7)",
         quick_budget_s: 90.0,
         run: run_fig7,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fig8",
         title: "cycle breakdown (Figure 8)",
         quick_budget_s: 60.0,
         run: run_fig8,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fig9",
         title: "training throughput vs inference load (Figure 9)",
         quick_budget_s: 90.0,
         run: run_fig9,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "table2",
         title: "workload sensitivity (Table 2, + MLP/Transformer extension)",
         quick_budget_s: 90.0,
         run: run_table2,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "table3",
         title: "area and power (Table 3)",
         quick_budget_s: 15.0,
         run: run_table3,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fig10",
         title: "scheduling policies (Figure 10)",
         quick_budget_s: 90.0,
         run: run_fig10,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fig11",
         title: "adaptive batching (Figure 11)",
         quick_budget_s: 120.0,
         run: run_fig11,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "software",
         title: "software vs hardware scheduling (§6 text)",
         quick_budget_s: 60.0,
         run: run_software,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "diurnal",
         title: "training for free over a day (extension)",
         quick_budget_s: 60.0,
         run: run_diurnal,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "ablation",
         title: "design-choice ablations (extensions)",
         quick_budget_s: 120.0,
         run: run_ablation,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fault",
         title: "fault injection × graceful degradation (extension)",
         quick_budget_s: 120.0,
         run: run_fault,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fleet",
         title: "fleet size × routing policy × load (extension)",
         quick_budget_s: 120.0,
         run: run_fleet,
+        reads_fitted_table: true,
     },
     Experiment {
         id: "allreduce",
         title: "gradient all-reduce: harvest-vs-sync frontier (extension)",
         quick_budget_s: 120.0,
         run: run_allreduce,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "serve",
         title: "admission control × overload × autoscaling (extension)",
         quick_budget_s: 120.0,
         run: run_serve,
+        reads_fitted_table: true,
     },
     Experiment {
         id: "bounds",
         title: "static bound calibration against the cycle-accurate sim (extension)",
         quick_budget_s: 30.0,
         run: run_bounds,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "fitted",
         title: "fitted distributional surrogate: tables + calibration gate (extension)",
         quick_budget_s: 120.0,
         run: run_fitted,
+        reads_fitted_table: true,
     },
     Experiment {
         id: "numerics",
         title: "HBFP numerics-pass calibration against the executed fixed-point kernels (extension)",
         quick_budget_s: 30.0,
         run: run_numerics,
+        reads_fitted_table: false,
     },
     Experiment {
         id: "checks",
         title: "equinox-check over the paper family and the drivers' configurations",
         quick_budget_s: 180.0,
         run: run_checks,
+        reads_fitted_table: false,
     },
 ];
 
@@ -237,6 +261,18 @@ pub fn parse_args(args: &[String]) -> Result<Selection, String> {
     let experiments =
         EXPERIMENTS.iter().filter(|e| ids.is_empty() || ids.contains(&e.id)).collect();
     Ok(Selection { scale, experiments })
+}
+
+/// Fits the process-wide [`fitted::FittedCalibration`] at `scale` when
+/// any of `experiments` reads it, and returns the fit's wall clock in
+/// seconds. Called before [`run`], it keeps the fit out of the wall
+/// clock of whichever reader would have asked first.
+pub fn fit_shared_table(experiments: &[&Experiment], scale: ExperimentScale) -> Option<f64> {
+    experiments.iter().any(|e| e.reads_fitted_table).then(|| {
+        let start = Instant::now();
+        fitted::FittedCalibration::shared(scale);
+        start.elapsed().as_secs_f64()
+    })
 }
 
 /// One experiment's run.

@@ -50,7 +50,20 @@ fn quick_run_writes_its_files_and_timings() {
     assert!(dir.join("results/table3_area_power.txt").is_file());
     let timings = std::fs::read_to_string(dir.join("results/bench_timings.json")).unwrap();
     assert!(timings.contains("\"id\":\"table3\""), "{timings}");
+    // `table3` reads no fitted table, so none is fitted or timed.
+    assert!(!timings.contains("fitted_table_s"), "{timings}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("--quick wall-clock budgets"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_shared_table_fit_is_timed_on_its_own() {
+    let dir = workdir("fitted");
+    let out = regen(&dir, &["--quick", "fitted"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let timings = std::fs::read_to_string(dir.join("results/bench_timings.json")).unwrap();
+    assert!(timings.contains("\"fitted_table_s\":"), "{timings}");
+    assert!(timings.contains("\"id\":\"fitted\""), "{timings}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

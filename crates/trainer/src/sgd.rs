@@ -9,7 +9,7 @@ use equinox_arith::Matrix;
 /// SGD-with-momentum state for one parameter tensor.
 #[derive(Debug, Clone)]
 pub struct SgdMomentum {
-    velocity: Matrix,
+    pub(crate) velocity: Matrix,
     /// Learning rate.
     pub lr: f32,
     /// Momentum coefficient (0 disables momentum).

@@ -63,13 +63,11 @@ impl ConvergenceCurve {
     }
 }
 
-/// Extracts mini-batch `i` from the data.
+/// The mini-batch of up to `size` rows starting at row `start`.
 fn batch_of(x: &Matrix, y: &[usize], start: usize, size: usize) -> (Matrix, Vec<usize>) {
     let end = (start + size).min(x.rows());
-    let rows = end - start;
-    let bx = Matrix::from_fn(rows, x.cols(), |r, c| x.get(start + r, c));
-    let by = y[start..end].to_vec();
-    (bx, by)
+    let rows = x.as_slice()[start * x.cols()..end * x.cols()].to_vec();
+    (Matrix::from_vec(end - start, x.cols(), rows), y[start..end].to_vec())
 }
 
 /// Trains the student classifier under `backend`, returning its
