@@ -1,7 +1,8 @@
-//! Pins five arrival streams across versions: the trace day in the
-//! shapes the fleet benchmark and the serving sweep offer it, a trace
-//! with two overlapping crowds one of which is a total brownout, and
-//! the homogeneous Poisson and thinned diurnal generators.
+//! Pins seven arrival streams across versions: the trace day in the
+//! shapes the fleet benchmark and the serving sweep offer it, at a
+//! horizon past 2⁴⁰ cycles, a trace with two overlapping crowds one of
+//! which is a total brownout, and the homogeneous Poisson and thinned
+//! diurnal generators.
 //!
 //! The unit tests check the generators' properties and compare the
 //! trace inversion with its 64-halving specification; these pins are
@@ -54,6 +55,27 @@ fn trace_day_in_the_fleet_benchmark_shape() {
     let interval = 294_150u64;
     let arrivals = day_at(0.8, 16.0 * 186.0 / interval as f64, 20 * interval, 7);
     assert_eq!(fingerprint(&arrivals), "n=47446 first=211 last=5882379 digest=947c337969d92266");
+}
+
+#[test]
+fn trace_day_of_the_64_device_fleet_benchmark() {
+    // The `fleet_day` benchmark's stream: twenty fitted LSTM batch
+    // intervals at 80 % of 64 devices, on the fleet's seed 42.
+    let arrivals = day_at(0.8, 64.0 * 186.0 / 294_150.0, 20 * 294_150, 42);
+    assert_eq!(fingerprint(&arrivals), "n=190872 first=172 last=5882885 digest=5473b57193c914c6");
+}
+
+#[test]
+fn trace_day_past_two_to_the_forty_cycles() {
+    // A horizon of 2⁴⁰ cycles and more: one cycle is about 10⁻¹² of the
+    // day, so the inversion's last halvings bisect brackets whose
+    // cumulative intensities differ by less than the evaluation's
+    // rounding and must call the closed form.
+    let arrivals = day_at(0.5, 8e-8, (1 << 40) + 4_321, 29);
+    assert_eq!(
+        fingerprint(&arrivals),
+        "n=43718 first=482014488 last=1099497756298 digest=dcd0d8d114f6e908"
+    );
 }
 
 #[test]
