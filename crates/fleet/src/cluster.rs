@@ -11,7 +11,9 @@
 //! accounting rules. Timestamps are rescaled to each device's own
 //! clock, so heterogeneous-frequency fleets compose. Finally the
 //! per-device reports are merged in device index order into a
-//! [`FleetReport`] — byte-identical at any thread count.
+//! [`FleetReport`] — byte-identical at any thread count. The merge
+//! copies no latency sample: the fleet-wide and per-class tails share
+//! the devices' sorted runs.
 
 use crate::admission::{AdmissionContext, AdmissionDecision, AdmissionSpec};
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
@@ -349,7 +351,12 @@ impl Fleet {
 
         // Stage 3: merge in device-index order; the front-end edge
         // ledger (offered and admission-shed counts) joins the
-        // per-device attribution ledgers.
+        // per-device attribution ledgers. The merged latency tails share
+        // the devices' sorted runs rather than copying them, so this
+        // stage's cost grows with the device count, not the request
+        // count: their quantiles select across the runs, and the
+        // interconnect's deadline recount takes partition points in
+        // them.
         let mut devices = Vec::with_capacity(self.devices.len());
         let mut device_ledgers: Vec<[ClassLedger; 2]> = Vec::with_capacity(self.devices.len());
         for ((spec, result), assigned) in self.devices.iter().zip(results).zip(assigned) {

@@ -84,7 +84,8 @@ pub struct FleetReport {
     /// Per-device outcomes, in device-index order.
     pub devices: Vec<DeviceOutcome>,
     /// Fleet-wide latency distribution: every device's measured
-    /// samples merged into one tail.
+    /// samples as one tail, sharing the devices' sorted runs
+    /// ([`LatencyStats::merged`]); its quantiles select across them.
     pub latency: LatencyStats,
 }
 

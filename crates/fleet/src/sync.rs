@@ -196,12 +196,8 @@ pub(crate) fn evaluate_sync(
         if let Some(slo) = opts.slo {
             for l in class_ledgers.iter_mut() {
                 l.sync_delay_s = sync_delay_s;
-                l.sync_deadline_misses = l
-                    .latency
-                    .samples()
-                    .iter()
-                    .filter(|&&s| s <= slo.deadline_s && s + sync_delay_s > slo.deadline_s)
-                    .count();
+                l.sync_deadline_misses =
+                    l.latency.count_pushed_past(slo.deadline_s, sync_delay_s);
             }
         }
     }

@@ -142,8 +142,10 @@ impl ClassLedger {
         self.latency.p999()
     }
 
-    /// Merges per-device ledgers of the same class into one (counts
-    /// sum; latency tails concatenate as in [`LatencyStats::merged`]).
+    /// Merges per-device ledgers of the same class into one: counts sum,
+    /// and the latency tail shares the parts' sorted runs
+    /// ([`LatencyStats::merged`]), so its quantiles select across them
+    /// and no sample is copied.
     ///
     /// # Panics
     ///

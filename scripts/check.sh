@@ -24,10 +24,12 @@ echo "==> tests (incl. tests/determinism.rs: every experiment at 1 and"
 echo "    at 4 threads, compared byte for byte, every gate holding)"
 cargo test --workspace --quiet
 
-echo "==> exhaustive arithmetic checks, #[ignore]d in the default run (~20 s"
-echo "    in release): the bit-derived HBFP block exponent equals libm's"
-echo "    log2().ceil() on every positive finite f32, on this host's libm"
-cargo test --release -p equinox-arith -- --ignored
+echo "==> exhaustive checks, #[ignore]d in the default run (~40 s in"
+echo "    release): the bit-derived HBFP block exponent equals libm's"
+echo "    log2().ceil() on every positive finite f32, on this host's libm,"
+echo "    and the scaled serve cell's 11.16 M trace arrivals equal the"
+echo "    64-halving inversion's, arrival by arrival"
+cargo test --release -p equinox-arith -p equinox-sim -- --ignored
 
 echo "==> benchmark package: clippy and tests (its own workspace, so the"
 echo "    --workspace steps above never build it)"
